@@ -71,6 +71,7 @@ impl<T> BinaryHeap<T> {
     }
 
     /// Removes and returns a smallest-priority entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<(usize, T)> {
         if self.entries.is_empty() {
             return None;

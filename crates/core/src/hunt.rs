@@ -16,7 +16,7 @@ use funnelpq_sync::{McsMutex, TtasMutex};
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{batch_reject, checked_sorted_batch, reject, BoundedPq, PqBatchError, PqError};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
@@ -205,34 +205,13 @@ impl<T: Send, R: Recorder> BoundedPq<T> for HuntPq<T, R> {
     // lock-free of the size lock afterwards. Deadlock-free because the size
     // lock is always acquired before node locks and never the other way
     // around, and node locks are taken in increasing-index pairs.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
         // Ascending order: each bubble stops as soon as it meets an
         // earlier (smaller) item from the same batch.
-        batch.sort_unstable_by_key(|&(pri, _)| pri);
+        let batch = checked_sorted_batch(tid, self.max_threads, self.num_priorities, batch)?;
         let submitted = batch.len();
         let leftover = obs::timed(&*self.recorder, OpKind::InsertBatch, || {
             let mut positions = Vec::with_capacity(submitted);

@@ -80,6 +80,7 @@ mod simple_linear;
 mod simple_tree;
 mod single_lock;
 mod skiplist;
+mod slot_array;
 mod topology;
 pub mod trace;
 mod traits;

@@ -14,13 +14,13 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use funnelpq_sync::TtasMutex;
 use funnelpq_util::{AtomicRng, CachePadded};
 
 use crate::algorithm::Algorithm;
 use crate::heap::BinaryHeap;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, reject, BoundedPq, Consistency, PqBatchError, PqError};
+use crate::slot_array::{SlotArray, EMPTY_TOP};
+use crate::traits::{checked_sorted_batch, reject, BoundedPq, Consistency, PqBatchError, PqError};
 
 /// Default ratio of internal heaps to threads (`c` in the MultiQueues
 /// papers; `c = 2` is their baseline configuration).
@@ -35,32 +35,84 @@ pub const DEFAULT_MQ_STICKINESS: u32 = 8;
 /// Default seed for the per-thread choice RNGs.
 pub const DEFAULT_MQ_SEED: u64 = 0x5EED_3141;
 
-/// Cached top priority of an empty internal heap. Compares greater than any
-/// real priority, so the two-choice `min` needs no special casing.
-const EMPTY_TOP: usize = usize::MAX;
-
-/// One internal sequential heap plus its published minimum. Each slot is
-/// cache-padded so two threads working distinct queues never share a line —
-/// the entire point of the algorithm.
-#[derive(Debug)]
-struct Slot<T> {
-    /// Smallest priority in `heap`, or [`EMPTY_TOP`]; written only while
-    /// holding the lock, read locklessly by the two-choice sampler.
-    top: AtomicUsize,
-    heap: TtasMutex<BinaryHeap<T>>,
+/// A sticky queue choice — slot `a`, plus `b` for a delete pair — and how
+/// many more operations reuse it. Owned by one thread (the queue's
+/// thread-id contract) but stored in a shared padded array, hence the
+/// single-owner `Relaxed` atomics — the same pattern as the funnel
+/// collision records.
+#[derive(Debug, Default)]
+struct Sticky {
+    a: AtomicUsize,
+    b: AtomicUsize,
+    left: AtomicU32,
 }
 
-/// Per-thread choice state. Owned by one thread (the queue's thread-id
-/// contract) but stored in a shared padded array, hence the single-owner
-/// `Relaxed` atomics — the same pattern as the funnel collision records.
+/// One attempt's queue choice and whether it reuses a sticky one.
+#[derive(Clone, Copy)]
+struct Pick {
+    a: usize,
+    b: usize,
+    sticky: bool,
+}
+
+impl Sticky {
+    /// The kept choice while its budget lasts, else `draw()`'s fresh one.
+    #[inline]
+    fn pick(&self, stickiness: u32, draw: impl FnOnce() -> (usize, usize)) -> Pick {
+        if stickiness > 1 && self.left.load(Ordering::Relaxed) > 0 {
+            Pick {
+                a: self.a.load(Ordering::Relaxed),
+                b: self.b.load(Ordering::Relaxed),
+                sticky: true,
+            }
+        } else {
+            let (a, b) = draw();
+            Pick {
+                a,
+                b,
+                sticky: false,
+            }
+        }
+    }
+
+    /// Settles an attempt. A hit spends one reuse of a kept choice, or
+    /// keeps a fresh one for `stickiness - 1` more operations; a miss (a
+    /// held lock, or a heap that raced empty) drops stickiness so the next
+    /// attempt re-draws.
+    #[inline]
+    fn commit(&self, stickiness: u32, p: Pick, hit: bool) {
+        if !hit {
+            self.left.store(0, Ordering::Relaxed);
+        } else if stickiness > 1 {
+            if p.sticky {
+                self.left
+                    .store(self.left.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+            } else {
+                self.a.store(p.a, Ordering::Relaxed);
+                self.b.store(p.b, Ordering::Relaxed);
+                self.left.store(stickiness - 1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Per-thread choice state: the RNG plus the insert and delete sides'
+/// sticky choices.
 #[derive(Debug)]
 struct ThreadCtx {
     rng: AtomicRng,
-    ins_q: AtomicUsize,
-    ins_left: AtomicU32,
-    del_a: AtomicUsize,
-    del_b: AtomicUsize,
-    del_left: AtomicU32,
+    ins: Sticky,
+    del: Sticky,
+}
+
+/// Outcome of one two-choice delete attempt.
+enum Attempt<O> {
+    /// Both sampled tops read empty: the caller's cue to sweep.
+    Empty,
+    /// The winner's lock was held.
+    Busy,
+    /// The winner's heap ran the caller's episode.
+    Done(O),
 }
 
 /// The relaxed MultiQueue: `c·T` binary heaps, each under a test-and-set
@@ -87,7 +139,7 @@ struct ThreadCtx {
 /// ```
 #[derive(Debug)]
 pub struct MultiQueuePq<T, R: Recorder = NoopRecorder> {
-    slots: Box<[CachePadded<Slot<T>>]>,
+    slots: SlotArray<T>,
     threads: Box<[CachePadded<ThreadCtx>]>,
     num_priorities: usize,
     max_threads: usize,
@@ -147,29 +199,17 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
         assert!(max_threads > 0, "need at least one thread");
         assert!(factor > 0, "need a positive queue factor");
         assert!(stickiness > 0, "stickiness counts operations; minimum 1");
-        let nqueues = (factor * max_threads).max(2);
-        let slots = (0..nqueues)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    top: AtomicUsize::new(EMPTY_TOP),
-                    heap: TtasMutex::new(BinaryHeap::new()),
-                })
-            })
-            .collect();
         let threads = (0..max_threads)
             .map(|tid| {
                 CachePadded::new(ThreadCtx {
                     rng: AtomicRng::new(seed.wrapping_add(tid as u64)),
-                    ins_q: AtomicUsize::new(0),
-                    ins_left: AtomicU32::new(0),
-                    del_a: AtomicUsize::new(0),
-                    del_b: AtomicUsize::new(0),
-                    del_left: AtomicU32::new(0),
+                    ins: Sticky::default(),
+                    del: Sticky::default(),
                 })
             })
             .collect();
         MultiQueuePq {
-            slots,
+            slots: SlotArray::new((factor * max_threads).max(2)),
             threads,
             num_priorities,
             max_threads,
@@ -183,59 +223,58 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
         self.slots.len()
     }
 
-    /// Publishes `heap`'s new minimum for the lockless sampler. Must be
-    /// called with the slot's lock held.
-    fn publish_top(slot: &Slot<T>, heap: &BinaryHeap<T>) {
-        slot.top
-            .store(heap.peek_priority().unwrap_or(EMPTY_TOP), Ordering::Release);
-    }
-
-    /// Two distinct queue indices from this thread's RNG.
-    fn draw_pair(&self, t: &ThreadCtx) -> (usize, usize) {
-        let n = self.slots.len() as u64;
-        let a = t.rng.below(n) as usize;
-        let mut b = t.rng.below(n - 1) as usize;
-        if b >= a {
-            b += 1;
+    /// Files `fill`'s items into the sticky (or a freshly drawn) heap in
+    /// one try-lock episode, re-drawing on contention. A whole batch
+    /// counts as one operation against the stickiness budget.
+    #[inline]
+    fn insert_with(&self, tid: usize, mut fill: impl FnMut(&mut BinaryHeap<T>)) {
+        let t = &*self.threads[tid];
+        loop {
+            let p = t.ins.pick(self.stickiness, || {
+                let q = self.slots.draw_one(&t.rng, 0, self.slots.len());
+                (q, q)
+            });
+            let hit = self
+                .slots
+                .try_with(&*self.recorder, p.a, &mut fill)
+                .is_some();
+            t.ins.commit(self.stickiness, p, hit);
+            if hit {
+                return;
+            }
         }
-        (a, b)
     }
 
     fn insert_inner(&self, tid: usize, pri: usize, item: T) {
-        let t = &*self.threads[tid];
-        loop {
-            let sticky = self.stickiness > 1 && t.ins_left.load(Ordering::Relaxed) > 0;
-            let q = if sticky {
-                t.ins_q.load(Ordering::Relaxed)
-            } else {
-                t.rng.below(self.slots.len() as u64) as usize
-            };
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    g.push(pri, item);
-                    Self::publish_top(slot, &g);
-                    if self.stickiness > 1 {
-                        if sticky {
-                            t.ins_left
-                                .store(t.ins_left.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
-                        } else {
-                            t.ins_q.store(q, Ordering::Relaxed);
-                            t.ins_left.store(self.stickiness - 1, Ordering::Relaxed);
-                        }
-                    }
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    return;
-                }
-                None => {
-                    // Contended queue: drop stickiness and re-draw.
-                    t.ins_left.store(0, Ordering::Relaxed);
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
+        let mut item = Some(item);
+        self.insert_with(tid, |h| h.push(pri, item.take().expect("item filed once")));
+    }
+
+    /// One two-choice delete attempt: the sticky (or a freshly drawn)
+    /// pair's winner runs `episode` under its try-lock, and `hit` on the
+    /// episode's result settles stickiness.
+    #[inline]
+    fn try_delete<O>(
+        &self,
+        t: &ThreadCtx,
+        episode: impl FnOnce(&mut BinaryHeap<T>) -> O,
+        hit: impl FnOnce(&O) -> bool,
+    ) -> Attempt<O> {
+        let p = t.del.pick(self.stickiness, || {
+            self.slots.draw_pair(&t.rng, 0, self.slots.len())
+        });
+        let Some(q) = self.slots.winner(p.a, p.b) else {
+            t.del.commit(self.stickiness, p, false);
+            return Attempt::Empty;
+        };
+        match self.slots.try_with(&*self.recorder, q, episode) {
+            Some(out) => {
+                t.del.commit(self.stickiness, p, hit(&out));
+                Attempt::Done(out)
+            }
+            None => {
+                t.del.commit(self.stickiness, p, false);
+                Attempt::Busy
             }
         }
     }
@@ -243,81 +282,23 @@ impl<T: Send, R: Recorder> MultiQueuePq<T, R> {
     fn delete_min_inner(&self, tid: usize) -> Option<(usize, T)> {
         let t = &*self.threads[tid];
         loop {
-            let sticky = self.stickiness > 1 && t.del_left.load(Ordering::Relaxed) > 0;
-            let (a, b) = if sticky {
-                (
-                    t.del_a.load(Ordering::Relaxed),
-                    t.del_b.load(Ordering::Relaxed),
-                )
-            } else {
-                self.draw_pair(t)
-            };
-            let top_a = self.slots[a].top.load(Ordering::Acquire);
-            let top_b = self.slots[b].top.load(Ordering::Acquire);
-            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
+            match self.try_delete(t, |h| h.pop(), Option::is_some) {
                 // Both samples look empty: fall back to a definitive sweep
                 // so quiescent callers get an exact answer.
-                t.del_left.store(0, Ordering::Relaxed);
-                return self.sweep();
-            }
-            let q = if top_b < top_a { b } else { a };
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    match g.pop() {
-                        Some(out) => {
-                            Self::publish_top(slot, &g);
-                            if self.stickiness > 1 {
-                                if sticky {
-                                    t.del_left.store(
-                                        t.del_left.load(Ordering::Relaxed) - 1,
-                                        Ordering::Relaxed,
-                                    );
-                                } else {
-                                    t.del_a.store(a, Ordering::Relaxed);
-                                    t.del_b.store(b, Ordering::Relaxed);
-                                    t.del_left.store(self.stickiness - 1, Ordering::Relaxed);
-                                }
-                            }
-                            return Some(out);
-                        }
-                        None => {
-                            // Raced empty under a stale top: repair and retry.
-                            Self::publish_top(slot, &g);
-                            t.del_left.store(0, Ordering::Relaxed);
-                        }
-                    }
-                }
-                None => {
-                    t.del_left.store(0, Ordering::Relaxed);
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
+                Attempt::Empty => return self.sweep(),
+                Attempt::Done(Some(out)) => return Some(out),
+                // Contended, or raced empty under a stale top (repaired by
+                // the episode): re-draw.
+                Attempt::Busy | Attempt::Done(None) => {}
             }
         }
     }
 
-    /// Slow path: blocking-lock every heap in turn and pop the first
-    /// non-empty one. Reached only when a sampled pair looked empty, so it
-    /// is rare under load; its job is the quiescent-emptiness guarantee —
-    /// `None` from here means every heap was seen empty.
+    /// Blocking sweep of every heap; see [`SlotArray::sweep`].
     fn sweep(&self) -> Option<(usize, T)> {
-        for slot in self.slots.iter() {
-            let mut g = slot.heap.lock();
-            if R::ENABLED {
-                self.recorder.record_event(CounterEvent::LockAcquire);
-            }
-            if let Some(out) = g.pop() {
-                Self::publish_top(slot, &g);
-                return Some(out);
-            }
-            Self::publish_top(slot, &g);
-        }
-        None
+        self.slots
+            .sweep(&*self.recorder, 0, self.slots.len())
+            .map(|(_, out)| out)
     }
 }
 
@@ -369,76 +350,19 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
 
     // The sticky (or freshly drawn) queue absorbs the whole batch in one
     // try-lock episode: one CAS, one top publication, k pushes.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
-        batch.sort_unstable_by_key(|&(pri, _)| pri);
+        let batch = checked_sorted_batch(tid, self.max_threads, self.num_priorities, batch)?;
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            let t = &*self.threads[tid];
             let mut batch = Some(batch);
-            loop {
-                let sticky = self.stickiness > 1 && t.ins_left.load(Ordering::Relaxed) > 0;
-                let q = if sticky {
-                    t.ins_q.load(Ordering::Relaxed)
-                } else {
-                    t.rng.below(self.slots.len() as u64) as usize
-                };
-                let slot = &*self.slots[q];
-                match slot.heap.try_lock() {
-                    Some(mut g) => {
-                        for (pri, item) in batch.take().expect("batch consumed once") {
-                            g.push(pri, item);
-                        }
-                        Self::publish_top(slot, &g);
-                        // The whole batch counts as one operation against
-                        // the stickiness budget.
-                        if self.stickiness > 1 {
-                            if sticky {
-                                t.ins_left.store(
-                                    t.ins_left.load(Ordering::Relaxed) - 1,
-                                    Ordering::Relaxed,
-                                );
-                            } else {
-                                t.ins_q.store(q, Ordering::Relaxed);
-                                t.ins_left.store(self.stickiness - 1, Ordering::Relaxed);
-                            }
-                        }
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::LockAcquire);
-                        }
-                        return;
-                    }
-                    None => {
-                        t.ins_left.store(0, Ordering::Relaxed);
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::CasRetry);
-                        }
-                    }
+            self.insert_with(tid, |h| {
+                for (pri, item) in batch.take().expect("batch consumed once") {
+                    h.push(pri, item);
                 }
-            }
+            });
         });
         obs::record_batch_op(&*self.recorder, n);
         Ok(())
@@ -458,68 +382,29 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
             let t = &*self.threads[tid];
             let mut taken = 0;
             while taken < k {
-                let sticky = self.stickiness > 1 && t.del_left.load(Ordering::Relaxed) > 0;
-                let (a, b) = if sticky {
-                    (
-                        t.del_a.load(Ordering::Relaxed),
-                        t.del_b.load(Ordering::Relaxed),
-                    )
-                } else {
-                    self.draw_pair(t)
+                let drain = |h: &mut BinaryHeap<T>| {
+                    let mut n = 0;
+                    while taken + n < k {
+                        match h.pop() {
+                            Some(e) => {
+                                out.push(e);
+                                n += 1;
+                            }
+                            None => break,
+                        }
+                    }
+                    n
                 };
-                let top_a = self.slots[a].top.load(Ordering::Acquire);
-                let top_b = self.slots[b].top.load(Ordering::Acquire);
-                if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
-                    t.del_left.store(0, Ordering::Relaxed);
-                    match self.sweep() {
+                match self.try_delete(t, drain, |&n| n > 0) {
+                    Attempt::Empty => match self.sweep() {
                         Some(e) => {
                             out.push(e);
                             taken += 1;
-                            continue;
                         }
                         None => break,
-                    }
-                }
-                let q = if top_b < top_a { b } else { a };
-                let slot = &*self.slots[q];
-                match slot.heap.try_lock() {
-                    Some(mut g) => {
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::LockAcquire);
-                        }
-                        let before = taken;
-                        while taken < k {
-                            match g.pop() {
-                                Some(e) => {
-                                    out.push(e);
-                                    taken += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                        Self::publish_top(slot, &g);
-                        if taken == before {
-                            // Raced empty under a stale top: repaired above.
-                            t.del_left.store(0, Ordering::Relaxed);
-                        } else if self.stickiness > 1 {
-                            if sticky {
-                                t.del_left.store(
-                                    t.del_left.load(Ordering::Relaxed) - 1,
-                                    Ordering::Relaxed,
-                                );
-                            } else {
-                                t.del_a.store(a, Ordering::Relaxed);
-                                t.del_b.store(b, Ordering::Relaxed);
-                                t.del_left.store(self.stickiness - 1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    None => {
-                        t.del_left.store(0, Ordering::Relaxed);
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::CasRetry);
-                        }
-                    }
+                    },
+                    Attempt::Done(n) => taken += n,
+                    Attempt::Busy => {}
                 }
             }
             taken
@@ -547,58 +432,21 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
             let t = &*self.threads[tid];
             let mut item = Some(item);
             loop {
-                let sticky = self.stickiness > 1 && t.del_left.load(Ordering::Relaxed) > 0;
-                let (a, b) = if sticky {
-                    (
-                        t.del_a.load(Ordering::Relaxed),
-                        t.del_b.load(Ordering::Relaxed),
-                    )
-                } else {
-                    self.draw_pair(t)
+                let swap = |h: &mut BinaryHeap<T>| {
+                    h.replace_min(pri, item.take().expect("item filed once"))
                 };
-                let top_a = self.slots[a].top.load(Ordering::Acquire);
-                let top_b = self.slots[b].top.load(Ordering::Acquire);
-                if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
+                match self.try_delete(t, swap, Option::is_some) {
                     // Queue looks empty: definitive sweep for the removal,
                     // then file the new item on the ordinary insert path.
-                    t.del_left.store(0, Ordering::Relaxed);
-                    let removed = self.sweep();
-                    self.insert_inner(tid, pri, item.take().expect("item filed once"));
-                    return removed;
-                }
-                let q = if top_b < top_a { b } else { a };
-                let slot = &*self.slots[q];
-                match slot.heap.try_lock() {
-                    Some(mut g) => {
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::LockAcquire);
-                        }
-                        let removed = g.replace_min(pri, item.take().expect("item filed once"));
-                        Self::publish_top(slot, &g);
-                        if removed.is_none() {
-                            // Stale top over an empty heap: the new item is
-                            // filed there anyway; report the empty removal.
-                            t.del_left.store(0, Ordering::Relaxed);
-                        } else if self.stickiness > 1 {
-                            if sticky {
-                                t.del_left.store(
-                                    t.del_left.load(Ordering::Relaxed) - 1,
-                                    Ordering::Relaxed,
-                                );
-                            } else {
-                                t.del_a.store(a, Ordering::Relaxed);
-                                t.del_b.store(b, Ordering::Relaxed);
-                                t.del_left.store(self.stickiness - 1, Ordering::Relaxed);
-                            }
-                        }
+                    Attempt::Empty => {
+                        let removed = self.sweep();
+                        self.insert_inner(tid, pri, item.take().expect("item filed once"));
                         return removed;
                     }
-                    None => {
-                        t.del_left.store(0, Ordering::Relaxed);
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::CasRetry);
-                        }
-                    }
+                    // A stale top over an empty heap still files the new
+                    // item there; the removal reports empty.
+                    Attempt::Done(removed) => return removed,
+                    Attempt::Busy => {}
                 }
             }
         });
@@ -618,9 +466,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for MultiQueuePq<T, R> {
     }
 
     fn is_empty(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.top.load(Ordering::Acquire) == EMPTY_TOP)
+        self.slots.is_empty()
     }
 
     fn consistency(&self) -> Consistency {

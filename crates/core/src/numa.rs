@@ -2,10 +2,10 @@
 //! MultiQueues fronted by a delegation layer, with a live mode switch
 //! (SmartPQ, arXiv 2406.06900).
 //!
-//! The structure is the [`crate::MultiQueuePq`] slot array partitioned over
-//! a [`Topology`]: each NUMA node owns a contiguous block of heaps, and the
-//! node's threads are co-located with them. Two serving disciplines share
-//! that structure:
+//! The structure is the slot array under [`crate::MultiQueuePq`]
+//! (`slot_array.rs`) partitioned over a [`Topology`]: each NUMA node owns a
+//! contiguous block of heaps, and the node's threads are co-located with
+//! them. Two serving disciplines share that structure:
 //!
 //! * **Oblivious** ([`NumaMode::Oblivious`]): exactly the plain MultiQueue.
 //!   Every thread inserts into and deletes from any slot directly; an
@@ -48,7 +48,6 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use funnelpq_sync::TtasMutex;
 use funnelpq_util::{AtomicRng, CachePadded};
 
 use crate::adaptive::{AdaptiveCtl, AdaptiveStats, NumaMode};
@@ -56,12 +55,9 @@ use crate::algorithm::Algorithm;
 use crate::config::NumaConfig;
 use crate::heap::BinaryHeap;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
+use crate::slot_array::{SlotArray, EMPTY_TOP};
 use crate::topology::Topology;
-use crate::traits::{batch_reject, reject, BoundedPq, Consistency, PqBatchError, PqError};
-
-/// Cached top priority of an empty internal heap (same sentinel as the
-/// plain MultiQueue).
-const EMPTY_TOP: usize = usize::MAX;
+use crate::traits::{checked_sorted_batch, reject, BoundedPq, Consistency, PqBatchError, PqError};
 
 /// Request-slot state: no request outstanding.
 const IDLE: usize = 0;
@@ -84,17 +80,6 @@ const SERVE_EVERY: u32 = 32;
 /// While spinning, yield the OS thread every this many iterations — on a
 /// host with fewer cores than threads the server needs the CPU.
 const YIELD_EVERY: u32 = 64;
-
-/// One internal sequential heap plus its published minimum, identical to
-/// the MultiQueue slot; the NUMA structure is in how slots are *homed*, not
-/// in the slots themselves.
-#[derive(Debug)]
-struct Slot<T> {
-    /// Smallest priority in `heap`, or [`EMPTY_TOP`]; written only while
-    /// holding the lock, read locklessly by the two-choice sampler.
-    top: AtomicUsize,
-    heap: TtasMutex<BinaryHeap<T>>,
-}
 
 /// The response cell of a delegation request slot. Ownership is handed by
 /// the `state` machine: the server writes between CLAIMED and DONE, the
@@ -132,7 +117,9 @@ struct ThreadCtx<T> {
 /// protocol and `docs/ALGORITHMS.md` §9 for the design discussion.
 #[derive(Debug)]
 pub struct NumaPq<T, R: Recorder = NoopRecorder> {
-    slots: Box<[CachePadded<Slot<T>>]>,
+    /// The MultiQueue slot array; the NUMA structure is in how slots are
+    /// *homed*, not in the slots themselves.
+    slots: SlotArray<T>,
     threads: Box<[CachePadded<ThreadCtx<T>>]>,
     /// Outstanding-request hint per node: bumped on publish, dropped by
     /// whoever wins the claim/cancel race. Purely an optimization — servers
@@ -183,14 +170,6 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         assert!(cfg.factor > 0, "need a positive queue factor");
         let nodes = cfg.nodes.min(max_threads);
         let nqueues = (cfg.factor * max_threads).max(2 * nodes).max(2);
-        let slots = (0..nqueues)
-            .map(|_| {
-                CachePadded::new(Slot {
-                    top: AtomicUsize::new(EMPTY_TOP),
-                    heap: TtasMutex::new(BinaryHeap::new()),
-                })
-            })
-            .collect();
         let threads = (0..max_threads)
             .map(|tid| {
                 CachePadded::new(ThreadCtx {
@@ -205,7 +184,7 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
             .map(|_| CachePadded::new(AtomicUsize::new(0)))
             .collect();
         NumaPq {
-            slots,
+            slots: SlotArray::new(nqueues),
             threads,
             pending,
             topo: Topology::new(nodes, max_threads, cfg.remote_ns),
@@ -254,54 +233,15 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         self.serve_pending(tid, self.topo.node_of_tid(tid));
     }
 
-    /// Publishes `heap`'s new minimum for the lockless sampler. Must be
-    /// called with the slot's lock held.
-    fn publish_top(slot: &Slot<T>, heap: &BinaryHeap<T>) {
-        slot.top
-            .store(heap.peek_priority().unwrap_or(EMPTY_TOP), Ordering::Release);
-    }
-
-    /// Two distinct slot indices in `lo..hi` from this thread's RNG
-    /// (`(lo, lo)` when the range has a single slot).
-    fn draw_pair_in(&self, t: &ThreadCtx<T>, lo: usize, hi: usize) -> (usize, usize) {
-        let n = (hi - lo) as u64;
-        if n < 2 {
-            return (lo, lo);
+    /// One try-lock episode on slot `q` (see [`SlotArray::try_with`]);
+    /// contention also feeds the adaptive controller.
+    #[inline]
+    fn try_with<O>(&self, q: usize, f: impl FnOnce(&mut BinaryHeap<T>) -> O) -> Option<O> {
+        let out = self.slots.try_with(&*self.recorder, q, f);
+        if out.is_none() {
+            self.ctl.note_cas_retry();
         }
-        let a = t.rng.below(n) as usize;
-        let mut b = t.rng.below(n - 1) as usize;
-        if b >= a {
-            b += 1;
-        }
-        (lo + a, lo + b)
-    }
-
-    /// Pushes `item` into the slot `q`, retrying the try-lock against a
-    /// fresh draw from `lo..hi` on contention. Returns the slot that
-    /// finally took it.
-    fn push_into_range(&self, tid: usize, pri: usize, item: T, lo: usize, hi: usize) -> usize {
-        let t = &*self.threads[tid];
-        let mut item = Some(item);
-        loop {
-            let q = lo + t.rng.below((hi - lo) as u64) as usize;
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    g.push(pri, item.take().expect("item filed once"));
-                    Self::publish_top(slot, &g);
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    return q;
-                }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
-            }
-        }
+        out
     }
 
     /// Pops the best item reachable inside node `node`'s partition: local
@@ -313,45 +253,18 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         let (lo, hi) = self.topo.slot_range(node, self.slots.len());
         let t = &*self.threads[tid];
         loop {
-            let (a, b) = self.draw_pair_in(t, lo, hi);
-            let top_a = self.slots[a].top.load(Ordering::Acquire);
-            let top_b = self.slots[b].top.load(Ordering::Acquire);
-            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
-                // Definitive partition sweep.
-                for slot in self.slots[lo..hi].iter() {
-                    let mut g = slot.heap.lock();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    if let Some(out) = g.pop() {
-                        Self::publish_top(slot, &g);
-                        return Some(out);
-                    }
-                    Self::publish_top(slot, &g);
-                }
-                return None;
+            let (a, b) = self.slots.draw_pair(&t.rng, lo, hi);
+            let Some(q) = self.slots.winner(a, b) else {
+                return self
+                    .slots
+                    .sweep(&*self.recorder, lo, hi)
+                    .map(|(_, out)| out);
+            };
+            if let Some(Some(out)) = self.try_with(q, |h| h.pop()) {
+                return Some(out);
             }
-            let q = if top_b < top_a { b } else { a };
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    let out = g.pop();
-                    Self::publish_top(slot, &g);
-                    if let Some(out) = out {
-                        return Some(out);
-                    }
-                    // Raced empty under a stale top: repaired above, retry.
-                }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
-            }
+            // Contended, or raced empty under a stale top (repaired by the
+            // episode): retry.
         }
     }
 
@@ -442,26 +355,32 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         out
     }
 
-    /// One insert episode under the current mode. Returns whether the
-    /// filing slot was remote (always `false` in delegation mode, whose
-    /// inserts are node-local by construction).
-    fn insert_inner(&self, tid: usize, pri: usize, item: T) -> bool {
+    /// Files `fill`'s items into one slot in one try-lock episode,
+    /// re-drawing on contention: node-local in delegation mode, anywhere
+    /// (with the remote episode charged) in oblivious mode.
+    #[inline]
+    fn insert_with(&self, tid: usize, mut fill: impl FnMut(&mut BinaryHeap<T>)) {
         let my_node = self.topo.node_of_tid(tid);
-        match self.ctl.mode() {
-            NumaMode::Delegation => {
-                let (lo, hi) = self.topo.slot_range(my_node, self.slots.len());
-                self.push_into_range(tid, pri, item, lo, hi);
-                false
-            }
-            NumaMode::Oblivious => {
-                let q = self.push_into_range(tid, pri, item, 0, self.slots.len());
-                let remote = self.topo.node_of_slot(q, self.slots.len()) != my_node;
-                if remote {
+        let n = self.slots.len();
+        let (lo, hi) = match self.ctl.mode() {
+            NumaMode::Delegation => self.topo.slot_range(my_node, n),
+            NumaMode::Oblivious => (0, n),
+        };
+        let t = &*self.threads[tid];
+        loop {
+            let q = self.slots.draw_one(&t.rng, lo, hi);
+            if self.try_with(q, &mut fill).is_some() {
+                if self.topo.node_of_slot(q, n) != my_node {
                     self.charge(3);
                 }
-                remote
+                return;
             }
         }
+    }
+
+    fn insert_inner(&self, tid: usize, pri: usize, item: T) {
+        let mut item = Some(item);
+        self.insert_with(tid, |h| h.push(pri, item.take().expect("item filed once")));
     }
 
     /// One delete-min episode under the current mode. Returns the item (if
@@ -474,13 +393,10 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
         loop {
             // Global two-choice draw in both modes, so the remote-win rate
             // reads the same either way.
-            let (a, b) = self.draw_pair_in(t, 0, self.slots.len());
-            let top_a = self.slots[a].top.load(Ordering::Acquire);
-            let top_b = self.slots[b].top.load(Ordering::Acquire);
-            if top_a == EMPTY_TOP && top_b == EMPTY_TOP {
-                return (self.sweep(tid, my_node), first_draw_remote);
-            }
-            let q = if top_b < top_a { b } else { a };
+            let (a, b) = self.slots.draw_pair(&t.rng, 0, self.slots.len());
+            let Some(q) = self.slots.winner(a, b) else {
+                return (self.sweep(my_node), first_draw_remote);
+            };
             let home = self.topo.node_of_slot(q, self.slots.len());
             let remote = home != my_node;
             first_draw_remote.get_or_insert(remote);
@@ -502,54 +418,25 @@ impl<T: Send, R: Recorder> NumaPq<T, R> {
                     None => continue,
                 }
             }
-            let slot = &*self.slots[q];
-            match slot.heap.try_lock() {
-                Some(mut g) => {
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::LockAcquire);
-                    }
-                    let out = g.pop();
-                    Self::publish_top(slot, &g);
-                    match out {
-                        Some(out) => {
-                            if remote {
-                                self.charge(3);
-                            }
-                            return (Some(out), first_draw_remote);
-                        }
-                        None => continue, // Stale top repaired above.
-                    }
+            if let Some(Some(out)) = self.try_with(q, |h| h.pop()) {
+                if remote {
+                    self.charge(3);
                 }
-                None => {
-                    self.ctl.note_cas_retry();
-                    if R::ENABLED {
-                        self.recorder.record_event(CounterEvent::CasRetry);
-                    }
-                }
+                return (Some(out), first_draw_remote);
             }
+            // Contended, or a stale top repaired by the episode: redraw.
         }
     }
 
-    /// Slow path: blocking-lock every heap in order and pop the first
-    /// non-empty one. `None` from here means every heap was seen empty —
-    /// the quiescent-emptiness guarantee. Remote pops (not mere probes) are
-    /// charged.
-    fn sweep(&self, _tid: usize, my_node: usize) -> Option<(usize, T)> {
-        for (q, slot) in self.slots.iter().enumerate() {
-            let mut g = slot.heap.lock();
-            if R::ENABLED {
-                self.recorder.record_event(CounterEvent::LockAcquire);
-            }
-            if let Some(out) = g.pop() {
-                Self::publish_top(slot, &g);
-                if self.topo.node_of_slot(q, self.slots.len()) != my_node {
-                    self.charge(3);
-                }
-                return Some(out);
-            }
-            Self::publish_top(slot, &g);
+    /// Slow path: blocking sweep of every heap (see [`SlotArray::sweep`]).
+    /// A remote pop (not a mere probe) is charged.
+    fn sweep(&self, my_node: usize) -> Option<(usize, T)> {
+        let n = self.slots.len();
+        let (q, out) = self.slots.sweep(&*self.recorder, 0, n)?;
+        if self.topo.node_of_slot(q, n) != my_node {
+            self.charge(3);
         }
-        None
+        Some(out)
     }
 }
 
@@ -604,66 +491,19 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     // The whole batch lands in one slot under one lock episode: node-local
     // in delegation mode, anywhere (with the remote episode charged) in
     // oblivious mode.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
-        batch.sort_unstable_by_key(|&(pri, _)| pri);
+        let batch = checked_sorted_batch(tid, self.max_threads, self.num_priorities, batch)?;
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
-            let my_node = self.topo.node_of_tid(tid);
-            let (lo, hi) = match self.ctl.mode() {
-                NumaMode::Delegation => self.topo.slot_range(my_node, self.slots.len()),
-                NumaMode::Oblivious => (0, self.slots.len()),
-            };
-            let t = &*self.threads[tid];
             let mut batch = Some(batch);
-            loop {
-                let q = lo + t.rng.below((hi - lo) as u64) as usize;
-                let slot = &*self.slots[q];
-                match slot.heap.try_lock() {
-                    Some(mut g) => {
-                        for (pri, item) in batch.take().expect("batch consumed once") {
-                            g.push(pri, item);
-                        }
-                        Self::publish_top(slot, &g);
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::LockAcquire);
-                        }
-                        if self.topo.node_of_slot(q, self.slots.len()) != my_node {
-                            self.charge(3);
-                        }
-                        return;
-                    }
-                    None => {
-                        self.ctl.note_cas_retry();
-                        if R::ENABLED {
-                            self.recorder.record_event(CounterEvent::CasRetry);
-                        }
-                    }
+            self.insert_with(tid, |h| {
+                for (pri, item) in batch.take().expect("batch consumed once") {
+                    h.push(pri, item);
                 }
-            }
+            });
         });
         self.finish_op(tid, None);
         obs::record_batch_op(&*self.recorder, n);
@@ -737,9 +577,7 @@ impl<T: Send, R: Recorder> BoundedPq<T> for NumaPq<T, R> {
     }
 
     fn is_empty(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| s.top.load(Ordering::Acquire) == EMPTY_TOP)
+        self.slots.is_empty()
     }
 
     fn consistency(&self) -> Consistency {

@@ -8,7 +8,7 @@ use funnelpq_sync::McsMutex;
 use crate::algorithm::Algorithm;
 use crate::heap::BinaryHeap;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{checked_sorted_batch, reject, BoundedPq, PqBatchError, PqError};
 
 /// Binary heap protected by a single MCS queue lock.
 ///
@@ -117,32 +117,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SingleLockPq<T, R> {
     // One MCS acquisition amortized over the whole batch. The batch is
     // sorted ascending first so each push lands above everything already
     // appended from the same batch and its sift-up is one comparison long.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch
-            .iter()
-            .position(|&(pri, _)| pri >= self.num_priorities)
-        {
-            let num_priorities = self.num_priorities;
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
-        batch.sort_unstable_by_key(|&(pri, _)| pri);
+        let batch = checked_sorted_batch(tid, self.max_threads, self.num_priorities, batch)?;
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
             let mut heap = self.heap.lock();

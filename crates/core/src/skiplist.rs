@@ -22,7 +22,7 @@ use funnelpq_util::XorShift64Star;
 
 use crate::algorithm::Algorithm;
 use crate::obs::{self, CounterEvent, NoopRecorder, OpKind, Recorder};
-use crate::traits::{batch_reject, BoundedPq, PqBatchError, PqError};
+use crate::traits::{checked_sorted_batch, BoundedPq, PqBatchError, PqError};
 
 const NONE: usize = usize::MAX;
 const HEAD: usize = usize::MAX - 1;
@@ -319,29 +319,11 @@ impl<T: Send, R: Recorder> BoundedPq<T> for SkipListPq<T, R> {
 
     // Sorting groups equal priorities into runs, so each run pays one
     // threaded-state check (and at most one splice) instead of one per item.
-    fn insert_batch(&self, tid: usize, mut batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
+    fn insert_batch(&self, tid: usize, batch: Vec<(usize, T)>) -> Result<(), PqBatchError<T>> {
         if batch.is_empty() {
             return Ok(());
         }
-        if tid >= self.max_threads {
-            let max_threads = self.max_threads;
-            return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
-                tid,
-                max_threads,
-                item,
-            }));
-        }
-        if let Some(bad) = batch.iter().position(|&(pri, _)| pri >= self.nodes.len()) {
-            let num_priorities = self.nodes.len();
-            return Err(batch_reject(batch, bad, |pri, item| {
-                PqError::PriorityOutOfRange {
-                    pri,
-                    num_priorities,
-                    item,
-                }
-            }));
-        }
-        batch.sort_unstable_by_key(|&(pri, _)| pri);
+        let batch = checked_sorted_batch(tid, self.max_threads, self.nodes.len(), batch)?;
         let n = batch.len() as u64;
         obs::timed(&*self.recorder, OpKind::InsertBatch, || {
             let mut it = batch.into_iter().peekable();

@@ -145,6 +145,35 @@ pub(crate) fn batch_reject<T>(
     }
 }
 
+/// The shared front of every `insert_batch` override: validates `tid` and
+/// every priority before filing anything (see [`batch_reject`]), then sorts
+/// the batch ascending so same-batch sift-ups and bubbles stay short.
+pub(crate) fn checked_sorted_batch<T>(
+    tid: usize,
+    max_threads: usize,
+    num_priorities: usize,
+    mut batch: Vec<(usize, T)>,
+) -> Result<Vec<(usize, T)>, PqBatchError<T>> {
+    if tid >= max_threads {
+        return Err(batch_reject(batch, 0, |_, item| PqError::TidOutOfRange {
+            tid,
+            max_threads,
+            item,
+        }));
+    }
+    if let Some(bad) = batch.iter().position(|&(pri, _)| pri >= num_priorities) {
+        return Err(batch_reject(batch, bad, |pri, item| {
+            PqError::PriorityOutOfRange {
+                pri,
+                num_priorities,
+                item,
+            }
+        }));
+    }
+    batch.sort_unstable_by_key(|&(pri, _)| pri);
+    Ok(batch)
+}
+
 /// A concurrent priority queue over the fixed priority range
 /// `0..num_priorities()`, where **smaller is more urgent**.
 ///

@@ -2,6 +2,7 @@
 //! simulated machine, behind one dispatch type ([`SimPq`]).
 
 mod counter_tree;
+mod heap_array;
 mod hunt;
 mod linear_funnels;
 mod multiqueue;

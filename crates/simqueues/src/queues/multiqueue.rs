@@ -11,49 +11,54 @@
 //! there is no shared hot spot at all — each operation touches one or two
 //! queues chosen at random, so coherence traffic stays flat as `P` grows.
 //!
-//! Each queue's words live in their own allocation (allocations are
-//! line-aligned, so distinct queues never share a cache line): a lock word,
-//! a published `top` priority (the root of the heap, or [`EMPTY`] —
-//! readable without taking the lock, which is what makes the two-choice
-//! probe cheap), a size word, and the `[pri, item]` heap entries.
+//! The heaps are a [`SimHeapArray`] (shared with [`super::SimNumaPq`]);
+//! this type adds only the per-processor stickiness policy.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use funnelpq_sim::{Addr, Machine, ProcCtx};
+use funnelpq_sim::{Machine, ProcCtx};
 
+use super::heap_array::{SimHeapArray, EMPTY, INSERT_TRIES};
 use crate::costs;
 use crate::error::SimPqError;
 
-/// Published-top sentinel for an empty queue; orders after every real
-/// priority.
-const EMPTY: u64 = u64::MAX;
+/// Which side of a processor's stickiness state an attempt uses.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Insert,
+    Delete,
+}
 
-/// Per-queue header words before the heap entries: lock, top, size.
-const HDR: usize = 3;
-
-/// Random try-lock attempts before an insert falls back to a deterministic
-/// probe of every queue with blocking locks.
-const INSERT_TRIES: usize = 4;
+/// A sticky queue choice — queue `a`, plus `b` for a delete pair — and how
+/// many more operations reuse it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Choice {
+    a: usize,
+    b: usize,
+    left: u64,
+}
 
 /// Per-processor stickiness state. This is thread-local in a real
 /// MultiQueue, so it lives host-side and costs no simulated memory traffic.
 #[derive(Debug, Clone, Default)]
 struct Sticky {
-    ins_q: usize,
-    ins_left: u64,
-    del_a: usize,
-    del_b: usize,
-    del_left: u64,
+    ins: Choice,
+    del: Choice,
+}
+
+/// One attempt's queue choice and whether it reuses a sticky one.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    a: usize,
+    b: usize,
+    sticky: bool,
 }
 
 /// The simulated relaxed MultiQueue. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SimMultiQueue {
-    /// Base address of each queue's region (`HDR + 2 * cap_q` words).
-    queues: Vec<Addr>,
-    /// Per-queue heap capacity; total capacity is `queues.len() * cap_q`.
-    cap_q: usize,
+    heaps: SimHeapArray,
     /// Operations an owner keeps reusing its queue choice for.
     stickiness: u64,
     /// Host-side per-processor stickiness state, grown on demand.
@@ -71,157 +76,66 @@ impl SimMultiQueue {
         stickiness: u64,
     ) -> Self {
         let nqueues = (factor.max(1) * procs.max(1)).max(2);
-        let cap_q = capacity.max(1).div_ceil(nqueues);
-        let words = HDR + 2 * cap_q;
-        let queues: Vec<Addr> = (0..nqueues)
-            .map(|qi| {
-                let base = m.alloc(words);
-                m.label(base, words, format!("multiqueue heap {qi}"));
-                // Fresh memory is zeroed; an all-zero top would read as "a
-                // priority-0 item is present".
-                m.poke(base + 1, EMPTY);
-                base
-            })
-            .collect();
         SimMultiQueue {
-            queues,
-            cap_q,
+            heaps: SimHeapArray::build(m, nqueues, capacity, "SimMultiQueue", |qi| {
+                (None, format!("multiqueue heap {qi}"))
+            }),
             stickiness: stickiness.max(1),
             sticky: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
-    fn lock_addr(&self, q: usize) -> Addr {
-        self.queues[q]
-    }
-    fn top_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 1
-    }
-    fn size_addr(&self, q: usize) -> Addr {
-        self.queues[q] + 2
-    }
-    fn pri_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize
-    }
-    fn item_addr(&self, q: usize, i: u64) -> Addr {
-        self.queues[q] + HDR + 2 * i as usize + 1
-    }
-
-    /// Runs `f` on this processor's sticky slot (growing the table for
-    /// late-spawned processors, e.g. drain phases).
-    fn with_sticky<R>(&self, pid: usize, f: impl FnOnce(&mut Sticky) -> R) -> R {
+    /// Runs `f` on one side of this processor's sticky state (growing the
+    /// table for late-spawned processors, e.g. drain phases).
+    fn with_choice<R>(&self, pid: usize, side: Side, f: impl FnOnce(&mut Choice) -> R) -> R {
         let mut all = self.sticky.borrow_mut();
         if pid >= all.len() {
             all.resize(pid + 1, Sticky::default());
         }
-        f(&mut all[pid])
-    }
-
-    /// One CAS on the lock word; true iff we now hold the lock.
-    async fn try_lock(&self, ctx: &ProcCtx, q: usize) -> bool {
-        ctx.cas(self.lock_addr(q), 0, ctx.pid() as u64 + 1).await == 0
-    }
-
-    /// Spins (test-and-set with backoff work) until the lock is ours. Only
-    /// the fallback paths use this; the fast paths never wait.
-    async fn lock_blocking(&self, ctx: &ProcCtx, q: usize) {
-        while !self.try_lock(ctx, q).await {
-            ctx.work(costs::FUNNEL_SPIN_STEP).await;
+        match side {
+            Side::Insert => f(&mut all[pid].ins),
+            Side::Delete => f(&mut all[pid].del),
         }
     }
 
-    async fn unlock(&self, ctx: &ProcCtx, q: usize) {
-        ctx.write(self.lock_addr(q), 0).await;
-    }
-
-    /// Pushes into queue `q`'s heap. Caller holds the lock. False if the
-    /// queue is full (heap unchanged).
-    async fn push_locked(&self, ctx: &ProcCtx, q: usize, pri: u64, item: u64) -> bool {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n as usize >= self.cap_q {
-            return false;
-        }
-        ctx.write(self.pri_addr(q, n), pri).await;
-        ctx.write(self.item_addr(q, n), item).await;
-        ctx.write(self.size_addr(q), n + 1).await;
-        {
-            let _bubble = ctx.span("heap-bubble");
-            let mut i = n;
-            while i > 0 {
-                ctx.work(costs::SIFT_STEP).await;
-                let parent = (i - 1) / 2;
-                let ppri = ctx.read(self.pri_addr(q, parent)).await;
-                if pri < ppri {
-                    let pitem = ctx.read(self.item_addr(q, parent)).await;
-                    ctx.write(self.pri_addr(q, i), ppri).await;
-                    ctx.write(self.item_addr(q, i), pitem).await;
-                    ctx.write(self.pri_addr(q, parent), pri).await;
-                    ctx.write(self.item_addr(q, parent), item).await;
-                    i = parent;
-                } else {
-                    break;
-                }
+    /// This attempt's choice: the kept one while its budget lasts
+    /// (spending one reuse), else a fresh draw — one queue for an insert,
+    /// a distinct pair for a delete.
+    async fn pick(&self, ctx: &ProcCtx, side: Side) -> Pick {
+        let kept = self.with_choice(ctx.pid(), side, |c| {
+            (c.left > 0).then(|| {
+                c.left -= 1;
+                (c.a, c.b)
+            })
+        });
+        let nq = self.heaps.len();
+        let ((a, b), sticky) = match (kept, side) {
+            (Some(pair), _) => (pair, true),
+            (None, Side::Insert) => {
+                let q = self.heaps.draw_one(ctx, 0, nq).await;
+                ((q, q), false)
             }
-        }
-        let root = ctx.read(self.pri_addr(q, 0)).await;
-        ctx.write(self.top_addr(q), root).await;
-        true
+            (None, Side::Delete) => (self.heaps.draw_pair(ctx, 0, nq).await, false),
+        };
+        Pick { a, b, sticky }
     }
 
-    /// Pops queue `q`'s minimum. Caller holds the lock. `None` repairs a
-    /// stale published top so later probes skip this queue.
-    async fn pop_locked(&self, ctx: &ProcCtx, q: usize) -> Option<(u64, u64)> {
-        let n = ctx.read(self.size_addr(q)).await;
-        if n == 0 {
-            ctx.write(self.top_addr(q), EMPTY).await;
-            return None;
-        }
-        let min_pri = ctx.read(self.pri_addr(q, 0)).await;
-        let min_item = ctx.read(self.item_addr(q, 0)).await;
-        let last = n - 1;
-        ctx.write(self.size_addr(q), last).await;
-        if last > 0 {
-            let _bubble = ctx.span("heap-bubble");
-            let pri = ctx.read(self.pri_addr(q, last)).await;
-            let item = ctx.read(self.item_addr(q, last)).await;
-            ctx.write(self.pri_addr(q, 0), pri).await;
-            ctx.write(self.item_addr(q, 0), item).await;
-            let mut i = 0u64;
-            loop {
-                ctx.work(costs::SIFT_STEP).await;
-                let l = 2 * i + 1;
-                let r = 2 * i + 2;
-                if l >= last {
-                    break;
-                }
-                let lpri = ctx.read(self.pri_addr(q, l)).await;
-                let (c, cpri) = if r < last {
-                    let rpri = ctx.read(self.pri_addr(q, r)).await;
-                    if rpri < lpri {
-                        (r, rpri)
-                    } else {
-                        (l, lpri)
-                    }
-                } else {
-                    (l, lpri)
+    /// Settles an attempt: a hit keeps a fresh choice for `stickiness - 1`
+    /// more operations; a miss (held lock, full queue, stale top) drops
+    /// stickiness so the next attempt re-draws.
+    fn commit(&self, pid: usize, side: Side, p: Pick, hit: bool) {
+        let left = self.stickiness - 1;
+        self.with_choice(pid, side, |c| {
+            if !hit {
+                c.left = 0;
+            } else if !p.sticky {
+                *c = Choice {
+                    a: p.a,
+                    b: p.b,
+                    left,
                 };
-                if cpri < pri {
-                    let citem = ctx.read(self.item_addr(q, c)).await;
-                    ctx.write(self.pri_addr(q, i), cpri).await;
-                    ctx.write(self.item_addr(q, i), citem).await;
-                    ctx.write(self.pri_addr(q, c), pri).await;
-                    ctx.write(self.item_addr(q, c), item).await;
-                    i = c;
-                } else {
-                    break;
-                }
             }
-            let root = ctx.read(self.pri_addr(q, 0)).await;
-            ctx.write(self.top_addr(q), root).await;
-        } else {
-            ctx.write(self.top_addr(q), EMPTY).await;
-        }
-        Some((min_pri, min_item))
+        });
     }
 
     /// Inserts `(pri, item)`.
@@ -242,66 +156,22 @@ impl SimMultiQueue {
     /// failures happen while the total item count is under capacity.
     pub async fn try_insert(&self, ctx: &ProcCtx, pri: u64, item: u64) -> Result<(), SimPqError> {
         ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let nq = self.queues.len();
         for _ in 0..INSERT_TRIES {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.ins_left > 0 {
-                    s.ins_left -= 1;
-                    Some(s.ins_q)
-                } else {
-                    None
-                }
-            });
-            let (q, was_sticky) = match sticky {
-                Some(q) => (q, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    (ctx.random_below(nq as u64) as usize, false)
-                }
-            };
-            if !self.try_lock(ctx, q).await {
-                self.with_sticky(pid, |s| s.ins_left = 0);
-                ctx.work(costs::LOOP_ITER).await;
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
-            hold.end();
-            self.unlock(ctx, q).await;
-            if ok {
-                if !was_sticky {
-                    let left = self.stickiness - 1;
-                    self.with_sticky(pid, |s| {
-                        s.ins_q = q;
-                        s.ins_left = left;
-                    });
-                }
+            let p = self.pick(ctx, Side::Insert).await;
+            let q = p.a;
+            let ok = self
+                .heaps
+                .try_locked(ctx, q, async || {
+                    self.heaps.heap(q).push(ctx, pri, item).await
+                })
+                .await;
+            self.commit(ctx.pid(), Side::Insert, p, ok == Some(true));
+            if ok == Some(true) {
                 return Ok(());
             }
-            self.with_sticky(pid, |s| s.ins_left = 0);
             ctx.work(costs::LOOP_ITER).await;
         }
-        // Random placement keeps failing (locked or full queues): probe
-        // every queue in order, waiting for each lock.
-        for step in 0..nq {
-            let q = (pid + step) % nq;
-            ctx.work(costs::LOOP_ITER).await;
-            self.lock_blocking(ctx, q).await;
-            let hold = ctx.span("lock-hold");
-            let ok = self.push_locked(ctx, q, pri, item).await;
-            hold.end();
-            self.unlock(ctx, q).await;
-            if ok {
-                return Ok(());
-            }
-        }
-        Err(SimPqError::CapacityExhausted {
-            what: "SimMultiQueue",
-            capacity: self.cap_q * nq,
-            proc: ctx.pid(),
-            time: ctx.now(),
-        })
+        self.heaps.probe_push(ctx, pri, item).await
     }
 
     /// Removes an item of *near*-minimal priority: sample two distinct
@@ -311,65 +181,36 @@ impl SimMultiQueue {
     /// empty.
     pub async fn delete_min(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
         ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let nq = self.queues.len() as u64;
         loop {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.del_left > 0 {
-                    s.del_left -= 1;
-                    Some((s.del_a, s.del_b))
-                } else {
-                    None
-                }
-            });
-            let (a, b, was_sticky) = match sticky {
-                Some((a, b)) => (a, b, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    let a = ctx.random_below(nq);
-                    ctx.work(costs::RNG_DRAW).await;
-                    let mut b = ctx.random_below(nq - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    (a as usize, b as usize, false)
-                }
+            let Some((p, q)) = self.pick_winner(ctx).await else {
+                return self.heaps.sweep(ctx, 0).await;
             };
-            let top_a = ctx.read(self.top_addr(a)).await;
-            let top_b = ctx.read(self.top_addr(b)).await;
-            if top_a == EMPTY && top_b == EMPTY {
-                self.with_sticky(pid, |s| s.del_left = 0);
-                return self.sweep(ctx).await;
-            }
-            let q = if top_b < top_a { b } else { a };
-            if !self.try_lock(ctx, q).await {
-                self.with_sticky(pid, |s| s.del_left = 0);
-                ctx.work(costs::LOOP_ITER).await;
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
-            hold.end();
-            self.unlock(ctx, q).await;
+            let got = self
+                .heaps
+                .try_locked(ctx, q, async || self.heaps.heap(q).pop(ctx).await)
+                .await;
+            self.commit(ctx.pid(), Side::Delete, p, matches!(got, Some(Some(_))));
             match got {
-                Some(x) => {
-                    if !was_sticky {
-                        let left = self.stickiness - 1;
-                        self.with_sticky(pid, |s| {
-                            s.del_a = a;
-                            s.del_b = b;
-                            s.del_left = left;
-                        });
-                    }
-                    return Some(x);
-                }
-                // The published top was stale-nonempty; it is repaired now.
-                None => {
-                    self.with_sticky(pid, |s| s.del_left = 0);
-                    ctx.work(costs::LOOP_ITER).await;
-                }
+                Some(Some(x)) => return Some(x),
+                // Held lock, or a stale-nonempty published top (repaired
+                // now): re-draw.
+                _ => ctx.work(costs::LOOP_ITER).await,
             }
         }
+    }
+
+    /// Picks a delete pair and reads both published tops: the pick and
+    /// the smaller-top winner, or `None` (stickiness dropped) when both
+    /// read empty.
+    async fn pick_winner(&self, ctx: &ProcCtx) -> Option<(Pick, usize)> {
+        let p = self.pick(ctx, Side::Delete).await;
+        let top_a = ctx.read(self.heaps.top_addr(p.a)).await;
+        let top_b = ctx.read(self.heaps.top_addr(p.b)).await;
+        if top_a == EMPTY && top_b == EMPTY {
+            self.commit(ctx.pid(), Side::Delete, p, false);
+            return None;
+        }
+        Some((p, if top_b < top_a { p.b } else { p.a }))
     }
 
     /// Inserts a whole batch into **one** queue under one lock episode,
@@ -391,53 +232,30 @@ impl SimMultiQueue {
         let mut sorted: Vec<(u64, u64)> = batch.to_vec();
         sorted.sort_unstable_by_key(|&(pri, _)| pri);
         ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let nq = self.queues.len();
         let mut next = 0usize;
         for _ in 0..INSERT_TRIES {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.ins_left > 0 {
-                    s.ins_left -= 1;
-                    Some(s.ins_q)
-                } else {
-                    None
-                }
-            });
-            let (q, was_sticky) = match sticky {
-                Some(q) => (q, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    (ctx.random_below(nq as u64) as usize, false)
+            let p = self.pick(ctx, Side::Insert).await;
+            let q = p.a;
+            let fill = async || {
+                while next < sorted.len() {
+                    let (pri, item) = sorted[next];
+                    if !self.heaps.heap(q).push(ctx, pri, item).await {
+                        break;
+                    }
+                    next += 1;
                 }
             };
-            if !self.try_lock(ctx, q).await {
-                self.with_sticky(pid, |s| s.ins_left = 0);
-                ctx.work(costs::LOOP_ITER).await;
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            while next < sorted.len() {
-                let (pri, item) = sorted[next];
-                if !self.push_locked(ctx, q, pri, item).await {
-                    break;
-                }
-                next += 1;
-            }
-            hold.end();
-            self.unlock(ctx, q).await;
-            if next == sorted.len() {
-                if !was_sticky {
-                    let left = self.stickiness - 1;
-                    self.with_sticky(pid, |s| {
-                        s.ins_q = q;
-                        s.ins_left = left;
-                    });
-                }
+            let locked = self.heaps.try_locked(ctx, q, fill).await.is_some();
+            let done = next == sorted.len();
+            self.commit(ctx.pid(), Side::Insert, p, done);
+            if done {
                 return Ok(());
             }
-            // Queue filled mid-batch: spill the rest item-by-item.
-            self.with_sticky(pid, |s| s.ins_left = 0);
-            break;
+            if locked {
+                // Queue filled mid-batch: spill the rest item-by-item.
+                break;
+            }
+            ctx.work(costs::LOOP_ITER).await;
         }
         for &(pri, item) in &sorted[next..] {
             self.try_insert(ctx, pri, item).await?;
@@ -459,37 +277,11 @@ impl SimMultiQueue {
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
         ctx.work(costs::OP_SETUP).await;
-        let pid = ctx.pid();
-        let nq = self.queues.len() as u64;
         let mut taken = 0;
         while taken < k {
-            let sticky = self.with_sticky(pid, |s| {
-                if s.del_left > 0 {
-                    s.del_left -= 1;
-                    Some((s.del_a, s.del_b))
-                } else {
-                    None
-                }
-            });
-            let (a, b, was_sticky) = match sticky {
-                Some((a, b)) => (a, b, true),
-                None => {
-                    ctx.work(costs::RNG_DRAW).await;
-                    let a = ctx.random_below(nq);
-                    ctx.work(costs::RNG_DRAW).await;
-                    let mut b = ctx.random_below(nq - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    (a as usize, b as usize, false)
-                }
-            };
-            let top_a = ctx.read(self.top_addr(a)).await;
-            let top_b = ctx.read(self.top_addr(b)).await;
-            if top_a == EMPTY && top_b == EMPTY {
-                self.with_sticky(pid, |s| s.del_left = 0);
+            let Some((p, q)) = self.pick_winner(ctx).await else {
                 while taken < k {
-                    match self.sweep(ctx).await {
+                    match self.heaps.sweep(ctx, 0).await {
                         Some(e) => {
                             out.push(e);
                             taken += 1;
@@ -498,120 +290,40 @@ impl SimMultiQueue {
                     }
                 }
                 return taken;
-            }
-            let q = if top_b < top_a { b } else { a };
-            if !self.try_lock(ctx, q).await {
-                self.with_sticky(pid, |s| s.del_left = 0);
-                ctx.work(costs::LOOP_ITER).await;
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
+            };
             let before = taken;
-            while taken < k {
-                match self.pop_locked(ctx, q).await {
-                    Some(e) => {
-                        out.push(e);
-                        taken += 1;
+            let drain = async || {
+                while taken < k {
+                    match self.heaps.heap(q).pop(ctx).await {
+                        Some(e) => {
+                            out.push(e);
+                            taken += 1;
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
-            }
-            hold.end();
-            self.unlock(ctx, q).await;
+            };
+            self.heaps.try_locked(ctx, q, drain).await;
+            self.commit(ctx.pid(), Side::Delete, p, taken > before);
             if taken == before {
-                // Stale published top; it is repaired now.
-                self.with_sticky(pid, |s| s.del_left = 0);
+                // Held lock, or a stale published top (repaired now).
                 ctx.work(costs::LOOP_ITER).await;
-            } else if !was_sticky {
-                let left = self.stickiness - 1;
-                self.with_sticky(pid, |s| {
-                    s.del_a = a;
-                    s.del_b = b;
-                    s.del_left = left;
-                });
             }
         }
         taken
     }
 
-    /// Slow path when a sampled pair looks empty: scan every published top
-    /// lock-free and pop from the first queue showing an item. Tops are
-    /// published under the queue lock, so during the sequential drain they
-    /// are exact and a full-EMPTY scan is a true emptiness proof; during
-    /// the concurrent phase a racing operation can make the scan miss —
-    /// a spurious empty, which relaxed semantics permits. Locking every
-    /// queue here instead would turn each near-empty delete into `O(P)`
-    /// CAS traffic and convoy concurrent sweepers behind each other.
-    async fn sweep(&self, ctx: &ProcCtx) -> Option<(u64, u64)> {
-        for q in 0..self.queues.len() {
-            ctx.work(costs::LOOP_ITER).await;
-            if ctx.read(self.top_addr(q)).await == EMPTY {
-                continue;
-            }
-            if !self.try_lock(ctx, q).await {
-                // Whoever holds the lock is mid-operation; move on.
-                continue;
-            }
-            let hold = ctx.span("lock-hold");
-            let got = self.pop_locked(ctx, q).await;
-            hold.end();
-            self.unlock(ctx, q).await;
-            if got.is_some() {
-                return got;
-            }
-        }
-        None
-    }
-
     /// Host-side item count (no simulated cost; meaningful at quiescence).
     pub fn peek_len(&self, m: &Machine) -> u64 {
-        (0..self.queues.len())
-            .map(|q| m.peek(self.size_addr(q)))
-            .sum()
+        self.heaps.peek_len(m)
     }
 
     /// Structural validation at quiescence: every lock free, every size
     /// within the per-queue capacity, the heap property inside each queue,
-    /// and each published top equal to its heap's root (or [`EMPTY`]).
-    /// Returns the total item count.
+    /// and each published top equal to its heap's root (or empty). Returns
+    /// the total item count.
     pub fn validate(&self, m: &Machine) -> Result<u64, String> {
-        let mut total = 0u64;
-        for q in 0..self.queues.len() {
-            if m.peek(self.lock_addr(q)) != 0 {
-                return Err(format!("SimMultiQueue: queue {q} lock held at quiescence"));
-            }
-            let n = m.peek(self.size_addr(q));
-            if n as usize > self.cap_q {
-                return Err(format!(
-                    "SimMultiQueue: queue {q} size {n} exceeds per-queue capacity {}",
-                    self.cap_q
-                ));
-            }
-            for i in 1..n {
-                let parent = (i - 1) / 2;
-                let ppri = m.peek(self.pri_addr(q, parent));
-                let cpri = m.peek(self.pri_addr(q, i));
-                if ppri > cpri {
-                    return Err(format!(
-                        "SimMultiQueue: queue {q} heap violation at entry {i}: \
-                         parent pri {ppri} > child pri {cpri}"
-                    ));
-                }
-            }
-            let top = m.peek(self.top_addr(q));
-            let want = if n == 0 {
-                EMPTY
-            } else {
-                m.peek(self.pri_addr(q, 0))
-            };
-            if top != want {
-                return Err(format!(
-                    "SimMultiQueue: queue {q} published top {top} disagrees with heap root {want}"
-                ));
-            }
-            total += n;
-        }
-        Ok(total)
+        self.heaps.validate(m)
     }
 }
 
@@ -752,7 +464,8 @@ mod tests {
     fn capacity_exhaustion_only_when_every_queue_is_full() {
         let mut m = Machine::new(MachineConfig::test_tiny(), 5);
         let q = SimMultiQueue::build(&mut m, 1, 8, 2, 4);
-        let total = q.cap_q * q.queues.len();
+        // Two queues (factor 2 × one processor) of 8 / 2 slots each.
+        let total = 8;
         let ctx = m.ctx();
         let q2 = q.clone();
         m.spawn(async move {
