@@ -17,7 +17,7 @@ use crate::error::{AdmitError, ServerError};
 use crate::fault::{ArmedFaults, FaultPlan};
 use crate::job::{Deadline, Job, JobId, JobSpec, TenantId};
 use crate::router::Router;
-use crate::shard::{DispatchRecord, Shard, ShardReport};
+use crate::shard::{DispatchRecord, Shard, ShardReport, Wake};
 use crate::supervise::{panic_message, StopOutcome, StopReport, SuperviseConfig};
 use crate::telemetry::{ShardTelemetry, TelemetrySnapshot, RANK_SAMPLE_PERIOD};
 
@@ -272,6 +272,7 @@ impl<R: Recorder> Scheduler<R> {
                 queue: Arc::from(queue),
                 dispatched: CachePadded::new(AtomicU64::new(0)),
                 enqueued: CachePadded::new(AtomicU64::new(0)),
+                wake: CachePadded::new(Wake::default()),
                 telemetry: Mutex::new(ShardTelemetry::new(cfg.tenants, cfg.telemetry_window_ns)),
                 healthy: AtomicBool::new(true),
                 shed: CachePadded::new(AtomicU64::new(0)),
@@ -426,6 +427,7 @@ impl<R: Recorder> Scheduler<R> {
             self.admission.release(job.tenant.0 as usize);
             return Err(e.into());
         }
+        shard.wake.notify();
         Ok(id)
     }
 
@@ -536,6 +538,9 @@ impl<R: Recorder> Scheduler<R> {
     /// [`ServerReport::in_flight_at_stop`].
     pub fn stop(&self) -> ServerReport {
         self.stopping.store(true, Ordering::Release);
+        for shard in &self.shards {
+            shard.wake.notify();
+        }
         let handles = std::mem::take(&mut *self.handles.lock().unwrap());
         let run_ns = self
             .started_at
@@ -651,6 +656,7 @@ impl<R: Recorder> DispatcherCtx<R> {
     /// requeues panic survivors, restarts with bounded exponential backoff
     /// up to the budget, then fails the shard over to healthy peers.
     fn run(self) -> ShardReport {
+        self.shard.wake.register();
         let mut report = ShardReport::new(self.index);
         let mut state = EpisodeState {
             out: Vec::with_capacity(self.drain.max(1) * 2),
@@ -753,6 +759,7 @@ impl<R: Recorder> DispatcherCtx<R> {
                 let peer = &self.shards[si];
                 peer.enqueued.fetch_add(1, Ordering::Relaxed);
                 if peer.queue.try_insert(self.recovery_tid, band, job).is_ok() {
+                    peer.wake.notify();
                     true
                 } else {
                     peer.enqueued.fetch_sub(1, Ordering::Relaxed);
@@ -776,9 +783,10 @@ impl<R: Recorder> DispatcherCtx<R> {
 
     /// The dispatcher loop proper: drain a batch, account each job, re-arm
     /// periodic ones via the fused `replace_min`, pace at `service_ns` per
-    /// job. Returns once the stop flag is up *and* a drain came back
-    /// empty. Runs inside the supervisor's `catch_unwind`; all loop state
-    /// that must survive a panic lives in `state`.
+    /// job, and wait for a notify when a drain comes back empty. Returns
+    /// once the stop flag is up *and* a drain came back empty. Runs inside
+    /// the supervisor's `catch_unwind`; all loop state that must survive a
+    /// panic lives in `state`.
     fn run_episodes(&self, report: &mut ShardReport, state: &mut EpisodeState) {
         // Rank-error sampling only makes sense when a drain batch is an
         // en-bloc snapshot of the queue (see `telemetry` module docs).
@@ -790,6 +798,12 @@ impl<R: Recorder> DispatcherCtx<R> {
         // Dispatch-rate window for the shed check's drain-time projection.
         let mut rate_start = Instant::now();
         let mut rate_count: u64 = 0;
+        // The wake-up sequence as read just before the current drain, once
+        // a drain has come back empty: an insert this drain misses has
+        // moved the sequence past it. A busy dispatcher never reads the
+        // sequence, so the line submitters write on every insert stays off
+        // its hot path.
+        let mut seen: Option<u64> = None;
         loop {
             state.out.clear();
             state.cursor = 0;
@@ -807,9 +821,13 @@ impl<R: Recorder> DispatcherCtx<R> {
                 rate_start = Instant::now();
                 rate_count = 0;
                 self.shard.rate_ns.store(0, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(20));
+                match seen.take() {
+                    Some(seen) => self.shard.wake.wait_past(seen),
+                    None => seen = Some(self.shard.wake.seq()),
+                }
                 continue;
             }
+            seen = None;
             self.shard.enqueued.fetch_sub(got as u64, Ordering::Relaxed);
             state.episode += 1;
             if track_rank && state.episode.is_multiple_of(RANK_SAMPLE_PERIOD) && got >= 2 {

@@ -1,13 +1,84 @@
 //! One shard: a priority queue of jobs plus its dispatch accounting.
 
-use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 use funnelpq::BoundedPq;
-use funnelpq_util::{Acc, CachePadded};
+use funnelpq_util::{Acc, Backoff, CachePadded};
 
 use crate::job::{Job, JobId, TenantId};
 use crate::telemetry::ShardTelemetry;
+
+/// The wake-up protocol between a shard's submitters and its idle
+/// dispatcher. Submitters write it on every insert, so a shard keeps it on
+/// a cache line of its own, away from the telemetry cell the dispatcher
+/// writes on every dispatch.
+#[derive(Default)]
+pub(crate) struct Wake {
+    /// Wake-up sequence, bumped by [`Wake::notify`] *after* every insert
+    /// from another thread. Unlike [`Shard::enqueued`], which must rise
+    /// before the insert so the dispatcher's decrement never underflows
+    /// it, a wake must follow the insert: a dispatcher woken earlier would
+    /// drain before the job is there and park again.
+    ready: AtomicU64,
+    /// Set while the dispatcher is about to park or parked; tells
+    /// [`Wake::notify`] it must `unpark` rather than just bump `ready`.
+    parked: AtomicBool,
+    /// The dispatcher thread, published before it first parks.
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Wake {
+    /// Records the calling thread as the one to unpark. The dispatcher
+    /// calls this before it can first park.
+    pub(crate) fn register(&self) {
+        *self.thread.lock().unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
+    }
+
+    /// The current wake-up sequence. Read it *before* a drain; if that
+    /// drain comes back empty, [`Wake::wait_past`] with this value cannot
+    /// miss an insert the drain missed.
+    pub(crate) fn seq(&self) -> u64 {
+        self.ready.load(Ordering::SeqCst)
+    }
+
+    /// Wakes the dispatcher after an insert into this shard from another
+    /// thread (or after `stop` raises its flag). An awake dispatcher costs
+    /// one `fetch_add` and one load; only a parked one costs an `unpark`.
+    ///
+    /// The `ready` bump here and the `parked` store in [`Wake::wait_past`]
+    /// form a Dekker pair under `SeqCst`: either this load sees `parked`
+    /// and unparks, or the dispatcher's re-check of `ready` sees the bump
+    /// and does not park. No wake-up is lost.
+    pub(crate) fn notify(&self) {
+        self.ready.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) {
+            if let Some(t) = &*self.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Waits until the sequence moves past `seen`: a bounded `Backoff`
+    /// spin first (a few µs, which is all a closed-loop client's next
+    /// submit usually takes), then `park` with no timeout. The loop
+    /// absorbs spurious unparks.
+    pub(crate) fn wait_past(&self, seen: u64) {
+        let backoff = Backoff::new();
+        while self.seq() == seen {
+            if !backoff.is_completed() {
+                backoff.snooze();
+                continue;
+            }
+            self.parked.store(true, Ordering::SeqCst);
+            if self.seq() == seen {
+                std::thread::park();
+            }
+            self.parked.store(false, Ordering::SeqCst);
+        }
+    }
+}
 
 /// A shard's queue plus the shared state its dispatcher and submitters
 /// both touch.
@@ -19,10 +90,12 @@ pub(crate) struct Shard {
     /// [`Job::enqueued_slot`]; the dispatcher evaluates deadline misses
     /// against it (see `docs/SERVER.md`).
     pub(crate) dispatched: CachePadded<AtomicU64>,
-    /// Live queue depth: incremented by submitters on a successful insert,
-    /// decremented by the dispatcher as it drains. Lock-free so submit
-    /// never touches the telemetry mutex.
+    /// Live queue depth: incremented by submitters *before* an insert (and
+    /// undone if it fails), decremented by the dispatcher as it drains.
+    /// Lock-free so submit never touches the telemetry mutex.
     pub(crate) enqueued: CachePadded<AtomicU64>,
+    /// How submitters wake the idle dispatcher.
+    pub(crate) wake: CachePadded<Wake>,
     /// The shard's telemetry cell. Written only by the shard's dispatcher
     /// (so the lock is uncontended on the hot path); read by
     /// [`Scheduler::telemetry`](crate::Scheduler::telemetry).

@@ -305,6 +305,44 @@ fn exhausted_restart_budget_fails_over_to_healthy_shards() {
     assert!(late.len() >= 115, "rerouted tenant-0 work ran on shard 1");
 }
 
+/// Give-up failover must wake a healthy shard whose dispatcher has parked
+/// on an empty queue: shard 0 stalls long enough for shard 1 to park, then
+/// panics with no restart budget, and shard 1 must dispatch every
+/// failed-over job with no further submit to wake it.
+#[test]
+fn give_up_failover_wakes_a_parked_peer() {
+    let plan = FaultPlan::new(13)
+        .dispatcher_stall(0, 0, 20_000_000)
+        .dispatcher_panic(0, 5);
+    let mut cfg = chaos_cfg(PqConfig::SingleLock, plan);
+    cfg.supervise = SuperviseConfig {
+        max_restarts: 0,
+        ..SuperviseConfig::default()
+    };
+    let s = Scheduler::new(cfg).unwrap();
+    let base = s.now_ns() + 1_000_000_000;
+    // Tenant 0 is pinned to shard 0; shard 1 gets nothing and parks.
+    for k in 0..50u64 {
+        s.submit(0, JobSpec::once(TenantId(0), Deadline::At(base + k), k))
+            .unwrap();
+    }
+    s.start();
+    drain(&s);
+    let report = s.stop();
+
+    assert_eq!(report.admitted, 50);
+    assert_eq!(report.completed, 50);
+    assert_eq!(report.lost, 0);
+    assert!(matches!(
+        report.stops[0].outcome,
+        StopOutcome::GaveUp { lost: 0, .. }
+    ));
+    assert!(report.stops[1].outcome.is_clean());
+    assert_eq!(report.shards[0].dispatch_log.len(), 5);
+    assert_eq!(report.shards[1].dispatch_log.len(), 45);
+    assert_eq!(report.shards[0].requeued, 45);
+}
+
 /// With a single shard there is nowhere to fail over: the give-up path
 /// must release every stranded admission slot and report the jobs lost —
 /// visible accounting, not a hang and not a leak.

@@ -1,11 +1,11 @@
 //! End-to-end tests for the `funnelpq-server` scheduler: conservation
 //! under concurrent seeded load, exact quota enforcement, strict-backend
-//! deadline ordering within a shard, relaxed-backend conservation, and
-//! affinity routing.
+//! deadline ordering within a shard, relaxed-backend conservation,
+//! affinity routing, and the idle dispatcher's wake-up protocol.
 
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use funnelpq::{MultiQueueConfig, PqConfig};
 use funnelpq_server::{Deadline, JobId, JobSpec, Scheduler, ServerConfig, ServerError, TenantId};
@@ -476,7 +476,10 @@ fn rank_error_sampler_separates_relaxed_from_strict() {
 /// backlog pinned against it. The optimistic fetch-add/check/undo scheme
 /// may transiently overshoot the cap by at most one slot per concurrently
 /// racing client (the window between the add and the undo), never more —
-/// and the books must balance exactly once the dust settles.
+/// and the books must balance exactly once the dust settles. Both
+/// premises hold by construction, whatever the host's scheduling: the
+/// monitor has sampled before any client submits (a barrier), and the
+/// pacing is slow enough that the clients always outrun the dispatchers.
 #[test]
 fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
     const CLIENTS: usize = 4;
@@ -492,18 +495,21 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
         let mut c = cfg(backend);
         c.global_capacity = CAPACITY;
         c.tenant_quota = CAPACITY;
-        c.service_ns = 5_000; // paced: keeps the backlog pressed at the cap
+        c.service_ns = 50_000; // paced: keeps the backlog pressed at the cap
         c.record_dispatches = false;
         let s = Arc::new(Scheduler::new(c).unwrap());
         s.start();
 
         let stop_monitor = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let go = Arc::new(Barrier::new(CLIENTS + 1));
         let monitor = {
             let s = Arc::clone(&s);
             let stop = Arc::clone(&stop_monitor);
+            let go = Arc::clone(&go);
             std::thread::spawn(move || {
-                let mut peak = 0usize;
-                let mut samples = 0u64;
+                let mut peak = s.in_flight();
+                let mut samples = 1u64;
+                go.wait();
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
                     peak = peak.max(s.in_flight());
                     samples += 1;
@@ -517,9 +523,11 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {
                 let s = Arc::clone(&s);
+                let go = Arc::clone(&go);
                 std::thread::spawn(move || {
                     let mut admitted = 0u64;
                     let mut rejected = 0u64;
+                    go.wait();
                     for k in 0..300u64 {
                         let tenant = TenantId(((client as u64 * 300 + k) % 8) as u32);
                         let spec = JobSpec::once(tenant, Deadline::At(base + 1_000_000_000 + k), k);
@@ -569,5 +577,81 @@ fn concurrent_submits_at_capacity_never_overshoot_the_race_bound() {
         assert_eq!(report.admitted, report.completed, "no admitted job leaked");
         assert_eq!(report.in_flight_at_stop, 0);
         assert_eq!(report.lost, 0);
+    }
+}
+
+/// Polls `in_flight()` down to zero, failing (rather than hanging) if the
+/// dispatcher never comes: its idle `park` has no timeout, so a lost
+/// wake-up would otherwise wait forever.
+fn await_idle(s: &Scheduler, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while s.in_flight() > 0 {
+        assert!(Instant::now() < deadline, "{what}: dispatcher never woke");
+        std::hint::spin_loop();
+    }
+}
+
+/// One-job round trips on one shard, each after a random gap: none (the
+/// dispatcher is still spinning), a few microseconds of spinning (it may
+/// be mid-backoff), or a 1 ms sleep (it has parked). Every job must be
+/// dispatched without a further submit to wake the dispatcher.
+#[test]
+fn idle_dispatcher_wakes_for_every_round_trip() {
+    const TRIPS: u64 = 2_000;
+    let s = Scheduler::new(ServerConfig {
+        shards: 1,
+        clients: 1,
+        record_dispatches: false,
+        ..cfg(PqConfig::SingleLock)
+    })
+    .unwrap();
+    s.start();
+    let mut rng = XorShift64Star::new(0x5eed);
+    for k in 0..TRIPS {
+        match rng.below(3) {
+            0 => {}
+            1 => {
+                let until = Instant::now() + Duration::from_micros(1 + rng.below(8));
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            }
+            _ => std::thread::sleep(Duration::from_millis(1)),
+        }
+        let tenant = TenantId(rng.below(TENANTS as u64) as u32);
+        s.submit(0, JobSpec::once(tenant, Deadline::In(1_000_000), k))
+            .unwrap();
+        await_idle(&s, &format!("round trip {k}"));
+    }
+    let report = s.stop();
+    assert_eq!(report.admitted, TRIPS);
+    assert_eq!(report.dispatched, TRIPS);
+    assert_eq!(report.completed, TRIPS);
+    assert_eq!(report.lost, 0);
+    assert!(report.stops.iter().all(|st| st.outcome.is_clean()));
+}
+
+/// `stop()` must wake dispatchers that have parked on empty queues: it
+/// returns promptly and every shard ends clean.
+#[test]
+fn stop_wakes_parked_dispatchers() {
+    for backend in [
+        PqConfig::SingleLock,
+        PqConfig::MultiQueue(MultiQueueConfig::default()),
+    ] {
+        let s = Arc::new(Scheduler::new(cfg(backend)).unwrap());
+        s.start();
+        std::thread::sleep(Duration::from_millis(10));
+        let (tx, rx) = mpsc::channel();
+        let stopper = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || tx.send(s.stop()).unwrap())
+        };
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("stop() never woke the parked dispatchers");
+        stopper.join().unwrap();
+        assert_eq!(report.stops.len(), SHARDS);
+        assert!(report.stops.iter().all(|st| st.outcome.is_clean()));
     }
 }
