@@ -64,7 +64,7 @@ pub struct BenchRecord {
 /// offline). Layout:
 ///
 /// ```json
-/// {"schema_version": 1, "benchmark": "...", "scale_percent": 100,
+/// {"schema_version": 3, "benchmark": "...", "scale_percent": 100,
 ///  "results": [{"name": "...", "field": 1.0, ...}, ...]}
 /// ```
 ///

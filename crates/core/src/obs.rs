@@ -16,17 +16,20 @@
 //!   read.
 //! * [`AtomicRecorder`] — thread-sharded atomic aggregation, drained into a
 //!   [`MetricsSnapshot`] that serializes to JSON with no external
-//!   dependencies.
+//!   dependencies. Cheap enough to leave on: it counts every op exactly
+//!   but times only a random ~1-in-64 sample of each thread's inserts and
+//!   delete-mins, and its locks skip the lock-span clock reads.
 //!
 //! The substrate events come from `funnelpq-sync`'s probe layer
 //! ([`EventSink`]); a queue wires its recorder's sink into its locks,
 //! counters and funnels at construction time.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use funnelpq_util::json::{JsonWriter, SCHEMA_VERSION};
-use funnelpq_util::{mono_ns, CachePadded};
+use funnelpq_util::{mono_ns, splitmix64, CachePadded};
 
 pub use funnelpq_sync::probe::{CounterEvent, EventSink, SinkRef};
 
@@ -106,10 +109,11 @@ pub const BATCH_BUCKETS: usize = 16;
 /// queues hold them in an `Arc` and call them from every operating thread.
 ///
 /// The `ENABLED` constant lets the compiler erase the instrumented paths —
-/// including the `Instant::now()` reads bracketing each operation — when the
+/// including the clock reads bracketing each operation — when the
 /// recorder is a no-op: queues guard their instrumentation with
 /// `if R::ENABLED { ... }`, which monomorphizes to nothing for
-/// [`NoopRecorder`].
+/// [`NoopRecorder`]. An enabled recorder picks which ops [`timed`] times
+/// through [`Recorder::begin_op`]; by default it times every one.
 pub trait Recorder: Send + Sync + 'static {
     /// Whether this recorder wants data at all. `false` compiles the
     /// instrumentation out of the queue's hot paths.
@@ -125,6 +129,17 @@ pub trait Recorder: Send + Sync + 'static {
 
     /// Record one operation of `kind` that took `nanos` nanoseconds.
     fn record_op(&self, kind: OpKind, nanos: u64);
+
+    /// Called by [`timed`] as each operation of `kind` starts; returns
+    /// whether to time it. A timed op is then reported through
+    /// [`Recorder::record_op_span`]. An op answered `false` is not reported
+    /// again, so a recorder that samples must count it here. The default
+    /// times every op, which is what tracers want.
+    #[inline]
+    fn begin_op(&self, kind: OpKind) -> bool {
+        let _ = kind;
+        true
+    }
 
     /// Record one operation of `kind` spanning
     /// `[start_ns, end_ns)` on the [`funnelpq_util::mono_ns`] timeline.
@@ -180,13 +195,16 @@ pub fn record_batch_op<R: Recorder>(rec: &R, size: u64) {
     }
 }
 
-/// Times `f` and reports it to `rec` as one `kind` operation span — free
-/// when `R::ENABLED` is false (no timer read, no call). Timestamps come
-/// from the process-wide [`funnelpq_util::mono_ns`] clock so recorders
-/// that keep span endpoints (the tracer) see one cross-thread timeline.
+/// Runs `f` as one `kind` operation of `rec` — free when `R::ENABLED` is
+/// false (no timer read, no call). Otherwise [`Recorder::begin_op`]
+/// decides whether this op is timed: if so, `f` is bracketed by two reads
+/// of the process-wide [`funnelpq_util::mono_ns`] clock (one cross-thread
+/// timeline for recorders that keep span endpoints, like the tracer) and
+/// reported as a span; if not, the recorder has already counted it and
+/// `f` runs bare.
 #[inline]
 pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O {
-    if R::ENABLED {
+    if R::ENABLED && rec.begin_op(kind) {
         let start = mono_ns();
         let out = f();
         rec.record_op_span(kind, start, mono_ns());
@@ -196,10 +214,11 @@ pub fn timed<R: Recorder, O>(rec: &R, kind: OpKind, f: impl FnOnce() -> O) -> O 
     }
 }
 
-/// One operation kind's latency aggregate within a shard.
+/// One operation kind's count and latency aggregate within a shard.
 #[derive(Debug, Default)]
 struct OpShard {
     count: AtomicU64,
+    sampled: AtomicU64,
     total_nanos: AtomicU64,
     buckets: [AtomicU64; LATENCY_BUCKETS],
 }
@@ -207,9 +226,67 @@ struct OpShard {
 impl OpShard {
     fn record(&self, nanos: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.sampled.fetch_add(1, Ordering::Relaxed);
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Mean number of ops of one base kind (insert or delete-min) per thread
+/// between two ops that [`AtomicRecorder`] times.
+const SAMPLE_MEAN: u64 = 64;
+
+/// One thread's sampling state: a countdown per base kind (insert,
+/// delete-min) of untimed ops left before the next timed one, and the
+/// SplitMix64 state that draws the gaps (0 until the thread's first op).
+struct Sampler {
+    left: [Cell<u64>; 2],
+    rng: Cell<u64>,
+}
+
+impl Sampler {
+    /// A uniform draw from `0..2 * SAMPLE_MEAN - 1`: the countdown after a
+    /// timed op, making the gap between timed ops uniform on
+    /// `1..=2 * SAMPLE_MEAN - 1`, mean [`SAMPLE_MEAN`].
+    fn countdown(&self) -> u64 {
+        let mut state = self.rng.get();
+        let draw = splitmix64(&mut state);
+        self.rng.set(state);
+        ((u128::from(draw) * u128::from(2 * SAMPLE_MEAN - 1)) >> 64) as u64
+    }
+}
+
+/// Whether the calling thread's next op of `base` kind is timed. Gaps are
+/// random so they cannot lock onto a periodic op mix, and bounded so every
+/// run of `2 * SAMPLE_MEAN - 1` ops of a kind on a thread times at least
+/// one. Each countdown also starts at a random phase, so a thread's first
+/// (cold) ops are sampled no more often than later ones.
+fn sample_due(base: OpKind) -> bool {
+    static SEEDS: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static SAMPLER: Sampler = const {
+            Sampler { left: [Cell::new(0), Cell::new(0)], rng: Cell::new(0) }
+        };
+    }
+    SAMPLER.with(|s| {
+        if s.rng.get() == 0 {
+            s.rng.set(SEEDS.fetch_add(1, Ordering::Relaxed));
+            for left in &s.left {
+                left.set(s.countdown());
+            }
+        }
+        let left = &s.left[base.index()];
+        match left.get() {
+            0 => {
+                left.set(s.countdown());
+                true
+            }
+            n => {
+                left.set(n - 1);
+                false
+            }
+        }
+    })
 }
 
 /// Log₂ bucket index of a nanosecond sample.
@@ -269,8 +346,14 @@ pub(crate) fn shard_index(n_shards: usize) -> usize {
 /// latency histograms in per-thread-sharded atomics, drained on demand into
 /// a [`MetricsSnapshot`].
 ///
-/// Counts are exact: every event lands in exactly one shard's atomic, and
-/// [`AtomicRecorder::snapshot`] sums over all shards.
+/// Counts are exact: every event and every op lands in exactly one shard's
+/// atomic, and [`AtomicRecorder::snapshot`] sums over all shards. Latency
+/// is sampled to keep the recorder cheap enough to leave on: through
+/// [`timed`], each thread times about one insert in 64 and one
+/// delete-min in 64, at random gaps (see [`OpStats::sampled`]). A direct
+/// [`Recorder::record_op`] call is always a sample. As a sink it counts
+/// lock acquisitions but declines lock spans, so its locks take no clock
+/// reads.
 ///
 /// # Examples
 ///
@@ -323,6 +406,14 @@ impl AtomicRecorder {
         &self.shards[shard_index(self.shards.len())]
     }
 
+    fn op_shard(&self, kind: OpKind) -> &OpShard {
+        let shard = self.shard();
+        match kind.base() {
+            OpKind::Insert => &shard.insert,
+            _ => &shard.delete_min,
+        }
+    }
+
     /// Sums every shard into an owned, plain-data snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
@@ -335,6 +426,7 @@ impl AtomicRecorder {
                 (&mut snap.delete_min, &shard.delete_min),
             ] {
                 agg.count += src.count.load(Ordering::Relaxed);
+                agg.sampled += src.sampled.load(Ordering::Relaxed);
                 agg.total_nanos += src.total_nanos.load(Ordering::Relaxed);
                 for (b, s) in agg.buckets.iter_mut().zip(src.buckets.iter()) {
                     *b += s.load(Ordering::Relaxed);
@@ -363,11 +455,16 @@ impl Recorder for AtomicRecorder {
     }
 
     fn record_op(&self, kind: OpKind, nanos: u64) {
-        let shard = self.shard();
-        match kind.base() {
-            OpKind::Insert => shard.insert.record(nanos),
-            _ => shard.delete_min.record(nanos),
+        self.op_shard(kind).record(nanos);
+    }
+
+    #[inline]
+    fn begin_op(&self, kind: OpKind) -> bool {
+        if sample_due(kind.base()) {
+            return true;
         }
+        self.op_shard(kind).count.fetch_add(1, Ordering::Relaxed);
+        false
     }
 
     fn record_batch(&self, size: u64) {
@@ -383,14 +480,22 @@ impl EventSink for AtomicRecorder {
     fn event_n(&self, event: CounterEvent, n: u64) {
         self.record_event_n(event, n);
     }
+
+    fn wants_lock_spans(&self) -> bool {
+        false
+    }
 }
 
-/// Latency aggregate for one operation kind (plain data).
+/// Count and latency aggregate for one operation kind (plain data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
-    /// Number of recorded operations.
+    /// Number of recorded operations (exact).
     pub count: u64,
-    /// Sum of all recorded durations, in nanoseconds.
+    /// How many of those were timed. Every latency figure below is over
+    /// these samples: `buckets` sums to `sampled`, and `total_nanos` is
+    /// their summed duration.
+    pub sampled: u64,
+    /// Sum of all sampled durations, in nanoseconds.
     pub total_nanos: u64,
     /// Log₂ histogram: `buckets[i]` counts samples whose duration `d`
     /// satisfies `floor(log2(d)) + 1 == i` (`buckets[0]` holds `d == 0`).
@@ -401,6 +506,7 @@ impl Default for OpStats {
     fn default() -> Self {
         OpStats {
             count: 0,
+            sampled: 0,
             total_nanos: 0,
             buckets: [0; LATENCY_BUCKETS],
         }
@@ -408,23 +514,24 @@ impl Default for OpStats {
 }
 
 impl OpStats {
-    /// Mean duration in nanoseconds (0.0 when no samples).
+    /// Mean sampled duration in nanoseconds (0.0 when no samples).
     pub fn mean_nanos(&self) -> f64 {
-        if self.count == 0 {
+        if self.sampled == 0 {
             0.0
         } else {
-            self.total_nanos as f64 / self.count as f64
+            self.total_nanos as f64 / self.sampled as f64
         }
     }
 
     /// Upper edge (in nanoseconds) of the bucket containing quantile `q`
-    /// (`0.0..=1.0`), or 0 when no samples. Bucket-resolution only — good
-    /// for "p99 is under 4 µs" statements, not exact ranks.
+    /// (`0.0..=1.0`) of the sampled durations, or 0 when no samples.
+    /// Bucket-resolution only — good for "p99 is under 4 µs" statements,
+    /// not exact ranks.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        if self.sampled == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.sampled as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
@@ -489,10 +596,10 @@ impl MetricsSnapshot {
     /// offline). Layout:
     ///
     /// ```json
-    /// {"schema_version": 1,
+    /// {"schema_version": 3,
     ///  "algorithm": "...",
     ///  "events": {"cas_retry": 0, ...},
-    ///  "insert": {"count": 0, "total_nanos": 0, "mean_nanos": 0,
+    ///  "insert": {"count": 0, "sampled": 0, "total_nanos": 0, "mean_nanos": 0,
     ///             "p50_nanos_le": 0, "p99_nanos_le": 0, "buckets": [...]},
     ///  "delete_min": {...},
     ///  "batch": {"count": 0, "total_items": 0, "mean_items": 0,
@@ -500,7 +607,9 @@ impl MetricsSnapshot {
     /// ```
     ///
     /// `schema_version` is [`funnelpq_util::json::SCHEMA_VERSION`]; bucket
-    /// arrays are truncated after their last nonzero entry.
+    /// arrays are truncated after their last nonzero entry. `count` is the
+    /// exact op count; the latency fields and `buckets` are over the
+    /// `sampled` ops.
     pub fn to_json(&self, algorithm: &str) -> String {
         fn buckets(w: &mut JsonWriter, k: &str, all: &[u64]) {
             let last_nonzero = all.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
@@ -515,6 +624,7 @@ impl MetricsSnapshot {
             w.key(key);
             w.begin_obj(false);
             w.field_u64("count", s.count);
+            w.field_u64("sampled", s.sampled);
             w.field_u64("total_nanos", s.total_nanos);
             w.field_f64_fixed("mean_nanos", s.mean_nanos(), 1);
             w.field_u64("p50_nanos_le", s.quantile_upper_bound(0.5));
@@ -585,6 +695,48 @@ mod tests {
         assert_eq!(snap.insert.count, 800);
         assert_eq!(snap.insert.total_nanos, 8 * (0..100).sum::<u64>());
         assert_eq!(snap.insert.buckets.iter().sum::<u64>(), 800);
+    }
+
+    #[test]
+    fn sample_gaps_are_bounded_with_mean_near_sample_mean() {
+        let (mut first, mut last, mut gaps, mut max_gap) = (None, 0u64, 0u64, 0u64);
+        for i in 0..100_000u64 {
+            // Delete-min draws interleave but use their own countdown.
+            sample_due(OpKind::DeleteMin);
+            if sample_due(OpKind::Insert) {
+                if first.is_none() {
+                    first = Some(i);
+                } else {
+                    max_gap = max_gap.max(i - last);
+                    gaps += 1;
+                }
+                last = i;
+            }
+        }
+        let first = first.expect("some insert timed");
+        assert!(first < 2 * SAMPLE_MEAN - 1, "first timed op {first}");
+        assert!(max_gap < 2 * SAMPLE_MEAN, "gap {max_gap}");
+        let mean = (last - first) as f64 / gaps as f64;
+        assert!((56.0..72.0).contains(&mean), "mean gap {mean}");
+    }
+
+    #[test]
+    fn begin_op_counts_what_it_does_not_time() {
+        let rec = AtomicRecorder::with_shards(1);
+        let mut timed_ops = 0;
+        for _ in 0..1_000 {
+            if rec.begin_op(OpKind::ReplaceMin) {
+                rec.record_op(OpKind::ReplaceMin, 10);
+                timed_ops += 1;
+            }
+        }
+        let s = rec.snapshot();
+        assert_eq!(s.delete_min.count, 1_000);
+        assert_eq!(s.delete_min.sampled, timed_ops);
+        assert_eq!(s.delete_min.buckets.iter().sum::<u64>(), timed_ops);
+        assert_eq!(s.insert.count, 0);
+        assert_eq!(s.delete_min.mean_nanos(), 10.0);
+        assert!(!rec.wants_lock_spans());
     }
 
     #[test]

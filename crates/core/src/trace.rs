@@ -12,6 +12,8 @@
 //!
 //! [`TracingRecorder`] wraps an [`AtomicRecorder`], so attaching it buys
 //! spans *and* the usual [`MetricsSnapshot`] counters with one recorder.
+//! Unlike a bare `AtomicRecorder`, which samples its latency, it times
+//! every op, and every op lands in its inner histograms too.
 //! Like every recorder, it is opt-in per queue: the default
 //! [`crate::obs::NoopRecorder`] still monomorphizes all instrumentation
 //! (including the clock reads) to nothing, which the `obs_overhead`
@@ -21,8 +23,8 @@
 //! [`OpKind::index`] op spans, [`TAG_LOCK`] a lock interval, [`TAG_CAS`]
 //! a CAS-retry burst — and `w1..w3` are tag-specific timestamps/counts on
 //! the [`mono_ns`] timeline. Lock intervals arrive via the substrate
-//! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release when a
-//! sink is attached); CAS bursts arrive via `event_n(CasRetry, n)`, which
+//! [`EventSink::lock_span`] hook (MCS locks time wait→hold→release when the
+//! attached sink wants spans, as this one does); CAS bursts arrive via `event_n(CasRetry, n)`, which
 //! the substrate already batches per operation episode, so one record is
 //! one burst.
 

@@ -25,6 +25,9 @@ struct QNode {
 struct LockInner {
     tail: AtomicPtr<QNode>,
     sink: Option<SinkRef>,
+    /// The sink's `wants_lock_spans`, read once at construction: whether
+    /// to take the wait/acquire/release stamps at all.
+    spans: bool,
 }
 
 /// A raw MCS queue lock (no data). See [`McsMutex`] for the RAII wrapper
@@ -55,11 +58,14 @@ impl McsLock {
     }
 
     /// Creates an unlocked MCS lock reporting each acquisition as a
-    /// [`CounterEvent::LockAcquire`] to `sink` (when present).
+    /// [`CounterEvent::LockAcquire`] to `sink` (when present), and each
+    /// wait→hold→release interval too when the sink
+    /// [wants lock spans](crate::probe::EventSink::wants_lock_spans).
     pub fn with_sink(sink: Option<SinkRef>) -> Self {
         McsLock {
             inner: CachePadded::new(LockInner {
                 tail: AtomicPtr::new(ptr::null_mut()),
+                spans: sink.as_ref().is_some_and(|s| s.wants_lock_spans()),
                 sink,
             }),
         }
@@ -67,13 +73,15 @@ impl McsLock {
 
     // Out-of-line so the sink-absent fast path of `lock`/`try_lock` pays
     // only a predictable not-taken branch, not the inlined dyn-call code
-    // (measurable on the cheapest queues' ns/op).
+    // (measurable on the cheapest queues' ns/op). Returns the wait-start
+    // stamp when the sink keeps spans.
     #[cold]
     #[inline(never)]
-    fn note_acquire(&self) {
+    fn note_acquire(&self) -> Option<u64> {
         if let Some(s) = &self.inner.sink {
             s.event(CounterEvent::LockAcquire);
         }
+        self.inner.spans.then(mono_ns)
     }
 
     // Span reporting happens after the handoff in `McsGuard::drop`, so the
@@ -90,10 +98,9 @@ impl McsLock {
     #[inline]
     pub fn lock(&self) -> McsGuard<'_> {
         let wait_start = if self.inner.sink.is_some() {
-            self.note_acquire();
-            mono_ns()
+            self.note_acquire()
         } else {
-            0
+            None
         };
         let node = Box::into_raw(Box::new(QNode {
             locked: AtomicBool::new(true),
@@ -111,11 +118,7 @@ impl McsLock {
                 backoff.snooze();
             }
         }
-        let stamps = if self.inner.sink.is_some() {
-            Some((wait_start, mono_ns()))
-        } else {
-            None
-        };
+        let stamps = wait_start.map(|wait| (wait, mono_ns()));
         McsGuard {
             lock: self,
             node,
@@ -141,11 +144,9 @@ impl McsLock {
             Ordering::Relaxed,
         ) {
             Ok(_) => {
+                // No queueing on the try path: wait == acquire instant.
                 let stamps = if self.inner.sink.is_some() {
-                    self.note_acquire();
-                    // No queueing on the try path: wait == acquire instant.
-                    let now = mono_ns();
-                    Some((now, now))
+                    self.note_acquire().map(|now| (now, now))
                 } else {
                     None
                 };
@@ -188,8 +189,8 @@ impl std::fmt::Debug for McsLock {
 pub struct McsGuard<'a> {
     lock: &'a McsLock,
     node: *mut QNode,
-    /// `(wait_start_ns, acquired_ns)` when the lock has a sink; the
-    /// release stamp completes the span in `drop`.
+    /// `(wait_start_ns, acquired_ns)` when the lock's sink keeps spans;
+    /// the release stamp completes the span in `drop`.
     stamps: Option<(u64, u64)>,
 }
 
@@ -438,6 +439,59 @@ mod tests {
         }
         // Spans from one thread lie on one monotonic timeline.
         assert!(spans[0].2 <= spans[1].1);
+    }
+
+    #[test]
+    fn counting_only_sink_gets_every_acquire_and_no_span() {
+        use crate::probe::{CounterEvent, EventSink};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        #[derive(Default)]
+        struct CountOnly(AtomicU64);
+        impl EventSink for CountOnly {
+            fn event_n(&self, event: CounterEvent, n: u64) {
+                assert_eq!(event, CounterEvent::LockAcquire);
+                self.0.fetch_add(n, Ordering::Relaxed);
+            }
+            fn lock_span(&self, _: u64, _: u64, _: u64) {
+                panic!("a sink that declines spans must never get one");
+            }
+            fn wants_lock_spans(&self) -> bool {
+                false
+            }
+        }
+
+        let sink = Arc::new(CountOnly::default());
+        let l = McsLock::with_sink(Some(sink.clone()));
+        for _ in 0..5 {
+            drop(l.lock());
+        }
+        assert_eq!(sink.0.load(Ordering::Relaxed), 5);
+        let g = l.try_lock().expect("uncontended try_lock");
+        // A failed try_lock acquires nothing and reports nothing.
+        assert!(l.try_lock().is_none());
+        drop(g);
+        assert_eq!(sink.0.load(Ordering::Relaxed), 6);
+
+        // Contended handoffs report one acquire per lock() as well.
+        const T: u64 = 4;
+        const N: u64 = 500;
+        let m = Arc::new(McsMutex::with_sink(0u64, Some(sink.clone())));
+        let handles: Vec<_> = (0..T)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                thread::spawn(move || {
+                    for _ in 0..N {
+                        *m.lock() += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*m.lock(), T * N);
+        assert_eq!(sink.0.load(Ordering::Relaxed), 6 + T * N + 1);
     }
 
     #[test]

@@ -159,11 +159,20 @@ pub trait EventSink: Send + Sync {
     /// `wait_start_ns ≤ acquired_ns ≤ released_ns`, wait time being
     /// `acquired - wait_start` and hold time `released - acquired`.
     ///
-    /// Default is a no-op so counting-only sinks need not care; locks
-    /// call it off the critical path (after the handoff) and only when a
-    /// sink is installed, so the uninstrumented cost stays one branch.
+    /// Locks take the three clock reads and call this only when the
+    /// installed sink's [`EventSink::wants_lock_spans`] is `true`, and
+    /// they call it off the critical path (after the handoff). With no
+    /// sink the uninstrumented cost stays one branch. Default is a no-op.
     fn lock_span(&self, wait_start_ns: u64, acquired_ns: u64, released_ns: u64) {
         let _ = (wait_start_ns, acquired_ns, released_ns);
+    }
+
+    /// Whether this sink keeps [`EventSink::lock_span`] intervals. Locks
+    /// read it once, at construction. A counting-only sink returns `false`
+    /// so its locks skip the clock reads inside every critical section;
+    /// its `LockAcquire` counts are unaffected. Default `true`.
+    fn wants_lock_spans(&self) -> bool {
+        true
     }
 }
 

@@ -62,12 +62,14 @@ fn main() {
     // What did the queue's internals get up to?
     let snap = rec.snapshot();
     println!(
-        "metrics: {} inserts (mean {} ns), {} delete-mins (mean {} ns), \
-         {} lock acquisitions, {} empty delete-mins",
+        "metrics: {} inserts (mean {} ns over {} timed), {} delete-mins \
+         (mean {} ns over {} timed), {} lock acquisitions, {} empty delete-mins",
         snap.insert.count,
         snap.insert.mean_nanos(),
+        snap.insert.sampled,
         snap.delete_min.count,
         snap.delete_min.mean_nanos(),
+        snap.delete_min.sampled,
         snap.event(funnelpq::obs::CounterEvent::LockAcquire),
         snap.event(funnelpq::obs::CounterEvent::EmptyDeleteMin),
     );

@@ -1,12 +1,18 @@
 //! Observability conformance: an `AtomicRecorder` attached through
 //! `PqBuilder` must count operations *exactly* — every insert and every
 //! delete-min call, across threads and algorithms — and its JSON snapshot
-//! must carry those counts.
+//! must carry those counts. Latency is sampled: the histograms hold
+//! exactly the `sampled` ops, a bounded share of the count that no
+//! periodic op mix can starve.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use funnelpq::obs::{record_batch_op, AtomicRecorder, CounterEvent, Recorder};
+use funnelpq::obs::{
+    record_batch_op, timed, AtomicRecorder, CounterEvent, EventSink, OpKind, OpStats, Recorder,
+    SinkRef,
+};
 use funnelpq::{Algorithm, BoundedPq, NumaConfig, PqBuilder, PqConfig};
 
 const THREADS: usize = 4;
@@ -69,15 +75,15 @@ fn atomic_recorder_counts_exact_op_totals() {
             snap.delete_min.total_nanos > 0,
             "{a}: delete_min latency recorded"
         );
-        // Histogram mass equals op count.
+        // Histogram mass equals the sampled op count.
         assert_eq!(
             snap.insert.buckets.iter().sum::<u64>(),
-            snap.insert.count,
+            snap.insert.sampled,
             "{a}: insert histogram mass"
         );
         assert_eq!(
             snap.delete_min.buckets.iter().sum::<u64>(),
-            snap.delete_min.count,
+            snap.delete_min.sampled,
             "{a}: delete_min histogram mass"
         );
 
@@ -85,6 +91,153 @@ fn atomic_recorder_counts_exact_op_totals() {
         let json = snap.to_json(a.name());
         assert!(json.contains(&format!("\"algorithm\": \"{}\"", a.name())));
         assert!(json.contains(&format!("\"count\": {}", snap.insert.count)));
+    }
+}
+
+/// An `AtomicRecorder` seen through a wrapper that tallies, per
+/// [`OpKind`], how many ops began and how many of them the inner recorder
+/// chose to time. The wrapper forwards everything, so the queue runs the
+/// inner recorder's real sampling and counting paths.
+#[derive(Default)]
+struct Probe {
+    inner: AtomicRecorder,
+    begun: [AtomicU64; 5],
+    timed: [AtomicU64; 5],
+}
+
+impl Probe {
+    fn tally(&self, of: &[AtomicU64; 5], kinds: &[OpKind]) -> u64 {
+        kinds
+            .iter()
+            .map(|k| of[k.index()].load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl Recorder for Probe {
+    const ENABLED: bool = true;
+
+    fn record_event_n(&self, event: CounterEvent, n: u64) {
+        self.inner.record_event_n(event, n);
+    }
+
+    fn record_op(&self, kind: OpKind, nanos: u64) {
+        self.inner.record_op(kind, nanos);
+    }
+
+    fn begin_op(&self, kind: OpKind) -> bool {
+        self.begun[kind.index()].fetch_add(1, Ordering::Relaxed);
+        let timed = self.inner.begin_op(kind);
+        if timed {
+            self.timed[kind.index()].fetch_add(1, Ordering::Relaxed);
+        }
+        timed
+    }
+
+    fn record_batch(&self, size: u64) {
+        self.inner.record_batch(size);
+    }
+
+    fn sink(self: &Arc<Self>) -> Option<SinkRef> {
+        Some(Arc::clone(self) as SinkRef)
+    }
+}
+
+impl EventSink for Probe {
+    fn event_n(&self, event: CounterEvent, n: u64) {
+        self.inner.event_n(event, n);
+    }
+
+    fn wants_lock_spans(&self) -> bool {
+        self.inner.wants_lock_spans()
+    }
+}
+
+/// The invariants of one kind's sampled aggregate: `count` is exact,
+/// `1 <= sampled <= count`, and the histogram holds exactly the samples.
+fn assert_sampled(what: &str, s: &OpStats, count: u64) {
+    assert_eq!(s.count, count, "{what}: count must be exact");
+    assert!(
+        (1..=s.count).contains(&s.sampled),
+        "{what}: sampled {} outside 1..={}",
+        s.sampled,
+        s.count
+    );
+    assert_eq!(
+        s.buckets.iter().sum::<u64>(),
+        s.sampled,
+        "{what}: histogram mass"
+    );
+}
+
+/// Sampled timing keeps every count exact and cannot alias with a periodic
+/// op mix. A strictly alternating insert/delete_min loop must time both
+/// kinds at about 1 in 64 (within 1/128..1/32); then a drain loop where
+/// every 16th delete-side call is a `replace_min` instead of a
+/// `delete_min_batch` must time some of each op kind, not only the one a
+/// fixed countdown would land on.
+#[test]
+fn sampled_timing_is_exact_and_does_not_alias() {
+    const PAIRS: u64 = 32 * 1024;
+    const DRAINS: u64 = 16 * 1024;
+    let inserts = [OpKind::Insert, OpKind::InsertBatch];
+    let deletes = [
+        OpKind::DeleteMin,
+        OpKind::DeleteMinBatch,
+        OpKind::ReplaceMin,
+    ];
+    for a in Algorithm::ALL {
+        let probe = Arc::new(Probe::default());
+        let q = PqBuilder::new(a, 16, 1)
+            .recorder(Arc::clone(&probe))
+            .build::<u64>();
+        for i in 0..PAIRS {
+            q.insert(0, (i % 16) as usize, i);
+            q.delete_min(0);
+        }
+        let snap = probe.inner.snapshot();
+        for (what, s) in [("insert", &snap.insert), ("delete_min", &snap.delete_min)] {
+            assert_sampled(&format!("{a} {what}"), s, PAIRS);
+            assert!(
+                (PAIRS / 128..=PAIRS / 32).contains(&s.sampled),
+                "{a} {what}: {} of {PAIRS} ops timed, want about 1 in 64",
+                s.sampled
+            );
+        }
+
+        let mut out = Vec::new();
+        for i in 0..DRAINS {
+            q.insert(0, (i % 16) as usize, i);
+            if i % 16 == 15 {
+                q.replace_min(0, (i % 16) as usize, i);
+            } else {
+                q.delete_min_batch(0, 1, &mut out);
+            }
+        }
+        let snap = probe.inner.snapshot();
+        let begun = |kinds: &[OpKind]| probe.tally(&probe.begun, kinds);
+        assert_sampled(&format!("{a} insert"), &snap.insert, begun(&inserts));
+        assert_sampled(
+            &format!("{a} delete_min"),
+            &snap.delete_min,
+            begun(&deletes),
+        );
+        assert_eq!(snap.delete_min.count, PAIRS + DRAINS, "{a}: one per call");
+        assert_eq!(
+            snap.insert.sampled + snap.delete_min.sampled,
+            probe.tally(&probe.timed, &OpKind::ALL),
+            "{a}: every timed op is one sample"
+        );
+        for kind in OpKind::ALL {
+            let begun = probe.begun[kind.index()].load(Ordering::Relaxed);
+            if begun >= 1_000 {
+                assert!(
+                    probe.timed[kind.index()].load(Ordering::Relaxed) > 0,
+                    "{a}: none of {begun} {} ops was timed",
+                    kind.name()
+                );
+            }
+        }
     }
 }
 
@@ -155,9 +308,9 @@ fn funnel_events_flow_into_the_recorder() {
 
 /// Sharded aggregation is exact under concurrent writers: eight threads
 /// hammer one recorder (more threads than shards, so shards are shared)
-/// with a fixed per-thread schedule of events and batch samples; the
-/// merged snapshot must report precisely the schedule times eight —
-/// counts, item totals, and every size bucket.
+/// with a fixed per-thread schedule of events, batch samples and timed
+/// ops; the merged snapshot must report precisely the schedule times
+/// eight — counts, item totals, and every size bucket.
 #[test]
 fn concurrent_writers_aggregate_exactly_across_shards() {
     const WRITERS: usize = 8;
@@ -183,6 +336,12 @@ fn concurrent_writers_aggregate_exactly_across_shards() {
                     for (size, n) in BATCHES {
                         for _ in 0..n {
                             record_batch_op(&*rec, size);
+                        }
+                    }
+                    for i in 0..1_000 {
+                        timed(&*rec, OpKind::Insert, || ());
+                        if i % 2 == 0 {
+                            timed(&*rec, OpKind::ReplaceMin, || ());
                         }
                     }
                 })
@@ -215,6 +374,8 @@ fn concurrent_writers_aggregate_exactly_across_shards() {
             snap.batch.count,
             "size-histogram mass ({shards} shards)"
         );
+        assert_sampled("timed insert", &snap.insert, 1_000 * w);
+        assert_sampled("timed replace_min", &snap.delete_min, 500 * w);
     }
 }
 
